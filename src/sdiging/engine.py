@@ -25,7 +25,7 @@ from sdiging.errors import (
 )
 from sdiging.graph import MixingMatrix, spectral_quantities
 from sdiging.objectives import ProblemInstance
-from sdiging.saga import GradientTable, init_table, stochastic_avg_gradient
+from sdiging.saga import GradientTables
 
 ALGORITHMS = ("diging", "sdiging", "primal_dual")
 
@@ -53,91 +53,96 @@ class NetworkState:
     k: int = 0
 
 
-def _stack_full_gradients(problem: ProblemInstance, x: np.ndarray) -> np.ndarray:
-    return np.stack([lo.full_gradient(x[i]) for i, lo in enumerate(problem.locals)])
-
-
 def init_diging_state(problem: ProblemInstance) -> NetworkState:
     """x_0 = 0 and the tracker seeded with the full local gradients."""
     x0 = np.zeros((problem.m, problem.dim))
-    g0 = _stack_full_gradients(problem, x0)
+    g0 = problem.local_gradients(x0)
     return NetworkState(x=x0, y=g0.copy(), g_prev=g0)
 
 
-def make_tables(problem: ProblemInstance, seed: int) -> list[GradientTable]:
-    """One gradient table per agent, streams keyed by (seed, agent index)."""
-    x0 = np.zeros(problem.dim)
-    return [init_table(lo, x0, seed=seed, agent_id=i)
-            for i, lo in enumerate(problem.locals)]
+def make_tables(problem: ProblemInstance, seed: int) -> GradientTables:
+    """One gradient table per agent, every slot evaluated at x = 0, streams
+    keyed by (seed, agent index)."""
+    q = np.array([lo.q for lo in problem.locals])
+    x0 = np.zeros((problem.m, problem.dim))
+    grads = np.zeros((problem.m, problem.q_max, problem.dim))
+    for h in range(problem.q_max):
+        grads[:, h] = problem.component_gradients(x0, np.minimum(h, q - 1))
+    grads[np.arange(problem.q_max) >= q[:, None]] = 0.0
+    return GradientTables(grads, q, seed, range(problem.m))
 
 
 def init_sdiging_state(problem: ProblemInstance,
-                       tables: list[GradientTable]) -> NetworkState:
+                       tables: GradientTables) -> NetworkState:
     x0 = np.zeros((problem.m, problem.dim))
-    g0 = np.stack([t.full_gradient_estimate() for t in tables])
+    g0 = tables.full_gradient_estimate()
     return NetworkState(x=x0, y=g0.copy(), g_prev=g0)
 
 
 def init_primal_dual_state(problem: ProblemInstance,
-                           tables: list[GradientTable]) -> NetworkState:
+                           tables: GradientTables) -> NetworkState:
     x0 = np.zeros((problem.m, problem.dim))
-    g0 = np.stack([t.full_gradient_estimate() for t in tables])
+    g0 = tables.full_gradient_estimate()
     return NetworkState(x=x0, lam=np.zeros_like(x0), g_prev=g0)
+
+
+def _round(rule: str, s: NetworkState, w: MixingMatrix, problem: ProblemInstance,
+           alpha: float, tables: GradientTables | None = None) -> NetworkState:
+    """One synchronous round of ``rule`` for all agents at once.
+
+    Every agent gets one gradient at its new iterate: its full local
+    gradient without tables, else the SAGA estimate from one fresh
+    component drawn from its own stream.
+    """
+    dual = rule == "primal_dual"
+    if (s.lam if dual else s.y) is None or s.g_prev is None:
+        raise InvalidArgumentError(
+            f"state does not carry a {'dual' if dual else 'tracking'} variable")
+    if s.x.shape != (w.m, problem.dim) or \
+            (tables is not None and len(tables) != problem.m):
+        raise InvalidArgumentError("state/tables/problem dimensions disagree")
+    mix = w.w
+    if dual:
+        # W^2 x - alpha g - (I - W) lam, without forming W^2 or I - W
+        x_new = mix @ (mix @ s.x) - alpha * s.g_prev - (s.lam - mix @ s.lam)
+    else:
+        x_new = mix @ s.x - alpha * s.y
+    if tables is None:
+        g_new = problem.local_gradients(x_new)
+    else:
+        idx = tables.draw()
+        g_new = tables.update(idx, problem.component_gradients(x_new, idx - 1))
+    if dual:
+        return NetworkState(x=x_new, lam=s.lam + (x_new - mix @ x_new),
+                            g_prev=g_new, k=s.k + 1)
+    return NetworkState(x=x_new, y=mix @ s.y + g_new - s.g_prev, g_prev=g_new,
+                        k=s.k + 1)
 
 
 def diging_step(s: NetworkState, w: MixingMatrix, problem: ProblemInstance,
                 alpha: float) -> NetworkState:
     """One deterministic gradient-tracking round (full local gradients)."""
-    if s.y is None or s.g_prev is None:
-        raise InvalidArgumentError("state does not carry a tracking variable")
-    if s.x.shape != (w.m, problem.dim):
-        raise InvalidArgumentError("state/matrix/problem dimensions disagree")
-    x_new = w.w @ s.x - alpha * s.y
-    g_new = _stack_full_gradients(problem, x_new)
-    y_new = w.w @ s.y + g_new - s.g_prev
-    return NetworkState(x=x_new, y=y_new, g_prev=g_new, k=s.k + 1)
+    return _round("diging", s, w, problem, alpha)
 
 
-def sdiging_step(s: NetworkState, w: MixingMatrix, tables: list[GradientTable],
+def sdiging_step(s: NetworkState, w: MixingMatrix, tables: GradientTables,
                  problem: ProblemInstance, alpha: float,
                  check_tracking: bool = False) -> NetworkState:
     """One stochastic gradient-tracking round (one fresh gradient per agent)."""
-    if s.y is None or s.g_prev is None:
-        raise InvalidArgumentError("state does not carry a tracking variable")
-    if len(tables) != problem.m or s.x.shape != (w.m, problem.dim):
-        raise InvalidArgumentError("state/tables/problem dimensions disagree")
-    x_new = w.w @ s.x - alpha * s.y
-    g_new = np.empty_like(s.g_prev)
-    for i, (t, lo) in enumerate(zip(tables, problem.locals)):
-        idx = t.draw_index()
-        g_new[i] = stochastic_avg_gradient(t, lo, x_new[i], idx)
-    y_new = w.w @ s.y + g_new - s.g_prev
-    out = NetworkState(x=x_new, y=y_new, g_prev=g_new, k=s.k + 1)
+    out = _round("sdiging", s, w, problem, alpha, tables)
     if check_tracking:
         assert_tracking_identity(out, tol=1e-10 * w.m)
     return out
 
 
-def primal_dual_step(s: NetworkState, w: MixingMatrix, tables: list[GradientTable],
+def primal_dual_step(s: NetworkState, w: MixingMatrix, tables: GradientTables,
                      problem: ProblemInstance, alpha: float) -> NetworkState:
     """One primal-dual round sharing the stochastic-gradient mechanism.
 
     Fed the same index streams and zero initialization, the x-trajectory
     coincides with the stochastic gradient-tracking iteration.
     """
-    if s.lam is None or s.g_prev is None:
-        raise InvalidArgumentError("state does not carry a dual variable")
-    if len(tables) != problem.m or s.x.shape != (w.m, problem.dim):
-        raise InvalidArgumentError("state/tables/problem dimensions disagree")
-    w2 = w.w @ w.w
-    lmat = np.eye(w.m) - w.w
-    x_new = w2 @ s.x - alpha * s.g_prev - lmat @ s.lam
-    lam_new = s.lam + lmat @ x_new
-    g_new = np.empty_like(s.g_prev)
-    for i, (t, lo) in enumerate(zip(tables, problem.locals)):
-        idx = t.draw_index()
-        g_new[i] = stochastic_avg_gradient(t, lo, x_new[i], idx)
-    return NetworkState(x=x_new, lam=lam_new, g_prev=g_new, k=s.k + 1)
+    return _round("primal_dual", s, w, problem, alpha, tables)
 
 
 def assert_tracking_identity(s: NetworkState, tol: float):
@@ -381,8 +386,8 @@ def run(algorithm: str, problem: ProblemInstance, w: MixingMatrix, alpha: float,
         else:
             state = primal_dual_step(state, w, tables, problem, alpha)
         evals += per_round
-        if not np.isfinite(state.x).all() or \
-                float(np.linalg.norm(state.x)) > DIVERGENCE_NORM:
+        # NaN and inf entries fail the comparison too
+        if not float(np.linalg.norm(state.x)) <= DIVERGENCE_NORM:
             record(state)
             raise DivergenceError(
                 f"iterate norm passed {DIVERGENCE_NORM:g} at round {state.k}",

@@ -157,9 +157,9 @@ def build_topology(kind: str, m: int, p: float | None = None, seed: int = 0) -> 
             rng = np.random.default_rng([seed & 0xFFFFFFFFFFFFFFFF, attempt])
             edges = set()
             for i in range(1, m + 1):
-                for j in range(i + 1, m + 1):
-                    if rng.random() < p:
-                        edges.add((i, j))
+                # one uniform per pair (i, j > i), in the per-pair draw order
+                hits = np.flatnonzero(rng.random(m - i) < p)
+                edges.update((i, i + 1 + int(k)) for k in hits)
             if _is_connected(m, edges):
                 return Topology(m=m, edges=frozenset(edges), retries=attempt)
         raise ConstructionFailure(

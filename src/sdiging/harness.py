@@ -435,14 +435,16 @@ class ExperimentResult:
     reference: ReferenceSolution | None
 
 
-def _write_metadata(path: Path, cfg: ExperimentConfig, alpha, cert, ref,
-                    problem, extra=None):
+def _write_metadata(path: Path, cfg: ExperimentConfig, w: graph.MixingMatrix,
+                    alpha, cert, ref, problem, extra=None):
     lines = ["# sdiging experiment metadata"]
     for key, val in sorted(vars(cfg).items()):
         if key == "resolved":
             continue
         lines.append(f"config.{key} = {val}")
     lines.append(f"resolved.alpha = {alpha}")
+    lines.append(f"resolved.laziness = {w.laziness}")
+    lines.append(f"resolved.gnp_retries = {w.topology.retries}")
     lines.append(f"problem.mu = {problem.mu}")
     lines.append(f"problem.lip = {problem.lip}")
     lines.append(f"problem.q_min = {problem.q_min}")
@@ -485,7 +487,7 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentResult:
     except DivergenceError as exc:
         partial = out_dir / f"{cfg.prefix}.csv.partial"
         partial.write_text(exc.trace.to_csv())
-        _write_metadata(meta_path, cfg, alpha, cert, ref, problem,
+        _write_metadata(meta_path, cfg, w, alpha, cert, ref, problem,
                         extra=[f"aborted = {exc}"])
         raise
     trace_path.write_text(trace.to_csv())
@@ -499,7 +501,7 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentResult:
     final_obj = problem.aggregate_value(final_state.x.mean(axis=0))
     extra.append(f"final.objective = {final_obj}")
     extra.append(f"final.consensus_gap = {engine.consensus_gap(final_state.x)}")
-    _write_metadata(meta_path, cfg, alpha, cert, ref, problem, extra=extra)
+    _write_metadata(meta_path, cfg, w, alpha, cert, ref, problem, extra=extra)
     return ExperimentResult(trace_path=trace_path, meta_path=meta_path,
                             trace=trace, final_state=final_state,
                             certificate=cert, reference=ref)

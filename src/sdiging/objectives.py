@@ -2,8 +2,11 @@
 
 A local objective is the average of ``q`` component functions.  Every
 component exposes ``value``, ``gradient``, a strong-convexity modulus
-``mu`` and a gradient-Lipschitz constant ``lip``; the simulation engine
-and the rate certification only see this interface.
+``mu`` and a gradient-Lipschitz constant ``lip``; the rate certification
+and the reference solver only see this interface.  For the synchronous
+round, every component class also stacks the parameters of many
+components (``stack_params``) and evaluates all their gradients at once
+(``stacked_gradient``, row k at point row k).
 """
 
 from __future__ import annotations
@@ -36,6 +39,15 @@ class Quadratic:
 
     def gradient(self, x):
         return self.a @ x + self.b
+
+    @staticmethod
+    def stack_params(comps):
+        return [np.stack([c.a for c in comps]), np.stack([c.b for c in comps])]
+
+    @staticmethod
+    def stacked_gradient(params, x):
+        a, b = params
+        return np.einsum("kij,kj->ki", a, x) + b
 
 
 class LogisticSample:
@@ -71,6 +83,18 @@ class LogisticSample:
         z = -float(self._lc @ x)
         return self.lam_m * x - expit(z) * self._qlc
 
+    @staticmethod
+    def stack_params(comps):
+        return [np.array([c.lam_m for c in comps]),
+                np.stack([c._lc for c in comps]),
+                np.stack([c._qlc for c in comps])]
+
+    @staticmethod
+    def stacked_gradient(params, x):
+        lam_m, lc, qlc = params
+        z = -np.einsum("kn,kn->k", lc, x)
+        return lam_m[:, None] * x - expit(z)[:, None] * qlc
+
 
 class DiskDistance:
     """Squared distance to the disk of radius sqrt(a/c) around a sensor.
@@ -104,6 +128,21 @@ class DiskDistance:
 
     def gradient(self, x):
         return 2.0 * (x - self.project(x))
+
+    @staticmethod
+    def stack_params(comps):
+        return [np.stack([c.r for c in comps]),
+                np.array([c.radius for c in comps])]
+
+    @staticmethod
+    def stacked_gradient(params, x):
+        r, radius = params
+        d = x - r
+        dist = np.sqrt(np.einsum("kn,kn->k", d, d))
+        out = dist > radius      # a point inside its disk is its own projection
+        proj = x.copy()
+        proj[out] = r[out] + (radius[out] / dist[out])[:, None] * d[out]
+        return 2.0 * (x - proj)
 
 
 class KMeansPoint:
@@ -142,6 +181,20 @@ class KMeansPoint:
         g[lo:lo + self.point_dim] = 2.0 * (centers[l_star] - self.p)
         return g
 
+    @staticmethod
+    def stack_params(comps):
+        return [np.stack([c.p for c in comps])]
+
+    @staticmethod
+    def stacked_gradient(params, x):
+        (p,) = params
+        rows = np.arange(len(p))
+        centers = x.reshape(len(p), -1, p.shape[1])
+        nearest = np.argmin(np.sum((centers - p[:, None, :]) ** 2, axis=2), axis=1)
+        g = np.zeros_like(centers)
+        g[rows, nearest] = 2.0 * (centers[rows, nearest] - p)
+        return g.reshape(x.shape)
+
 
 @dataclass
 class LocalObjective:
@@ -179,7 +232,12 @@ class LocalObjective:
 
 @dataclass
 class ProblemInstance:
-    """One problem shared by m agents, with aggregate constants."""
+    """One problem shared by m agents, with aggregate constants.
+
+    ``component_gradients`` and ``local_gradients`` evaluate one gradient
+    per agent at the rows of a stacked m x n iterate.  They read the
+    component parameters stacked agent-major, built on first use.
+    """
 
     locals: list
     known_optimum: np.ndarray | None = None
@@ -187,6 +245,8 @@ class ProblemInstance:
     q_max: int = field(init=False)
     mu: float = field(init=False)
     lip: float = field(init=False)
+    _stacked: tuple | None = field(default=None, init=False, repr=False,
+                                   compare=False)
 
     def __post_init__(self):
         dims = {lo.dim for lo in self.locals}
@@ -214,6 +274,34 @@ class ProblemInstance:
         for lo in self.locals:
             g += lo.full_gradient(x)
         return g / self.m
+
+    def _stack(self):
+        """(stacked_gradient, params, offsets, q): agent i's components are
+        rows offsets[i] .. offsets[i] + q[i] - 1 of every parameter array."""
+        if self._stacked is None:
+            comps = [c for lo in self.locals for c in lo.components]
+            kinds = {type(c) for c in comps}
+            if len(kinds) != 1:
+                raise InvalidArgumentError(
+                    "a problem must use one component class, got "
+                    f"{sorted(k.__name__ for k in kinds)}")
+            kind = kinds.pop()
+            q = np.array([lo.q for lo in self.locals])
+            self._stacked = (kind.stacked_gradient, kind.stack_params(comps),
+                             np.cumsum(q) - q, q)
+        return self._stacked
+
+    def component_gradients(self, x, h):
+        """Row i: gradient of agent i's component h[i] (0-based) at x[i]."""
+        grad, params, offsets, _ = self._stack()
+        sel = offsets + h
+        return grad([p[sel] for p in params], x)
+
+    def local_gradients(self, x):
+        """Row i: agent i's full local gradient at x[i]."""
+        grad, params, offsets, q = self._stack()
+        g = grad(params, np.repeat(x, q, axis=0))
+        return np.add.reduceat(g, offsets, axis=0) / q[:, None]
 
 
 def full_local_gradient(lo: LocalObjective, x: np.ndarray) -> np.ndarray:

@@ -4,7 +4,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from sdiging import engine, graph
+from sdiging import engine, graph, harness
 from sdiging.errors import (
     CertificationRefused,
     ConfigError,
@@ -334,3 +334,88 @@ def test_require_reference():
         engine.require_reference(None)
     x = np.zeros(2)
     assert engine.require_reference(x) is x
+
+
+# ---------------------------------------------------------------------------
+# the vectorized round against per-agent loops
+# ---------------------------------------------------------------------------
+
+def reference_run(rule, prob, w, alpha, rounds, seed):
+    """The round as per-agent loops: one single Philox draw, one scalar
+    component gradient and one SAGA update per agent (full local gradients
+    for diging).  Returns the final (x, tracker, g)."""
+    m, n = prob.m, prob.dim
+    ww, lap = w.w @ w.w, np.eye(m) - w.w
+    rngs = [np.random.Generator(np.random.Philox(
+        key=np.array([seed, i], dtype=np.uint64))) for i in range(m)]
+    table = [np.stack([c.gradient(np.zeros(n)) for c in lo.components])
+             for lo in prob.locals]
+    sums = [t.sum(axis=0) for t in table]
+
+    def gradients(x):
+        g = np.empty((m, n))
+        for i, lo in enumerate(prob.locals):
+            if rule == "diging":
+                g[i] = lo.full_gradient(x[i])
+                continue
+            h = int(rngs[i].integers(1, lo.q + 1)) - 1
+            fresh = lo.components[h].gradient(x[i])
+            g[i] = fresh - table[i][h] + sums[i] / lo.q
+            sums[i] += fresh - table[i][h]
+            table[i][h] = fresh
+        return g
+
+    x = np.zeros((m, n))
+    g = gradients(x) if rule == "diging" else \
+        np.stack([s / lo.q for s, lo in zip(sums, prob.locals)])
+    tracker = g.copy() if rule != "primal_dual" else np.zeros((m, n))
+    for _ in range(rounds):
+        if rule == "primal_dual":
+            x = ww @ x - alpha * g - lap @ tracker
+            tracker = tracker + lap @ x
+            g = gradients(x)
+        else:
+            x = w.w @ x - alpha * tracker
+            g_new = gradients(x)
+            tracker = w.w @ tracker + g_new - g
+            g = g_new
+    return x, tracker, g
+
+
+def uneven_quadratic():
+    comps = quadratic_family(1, 12, 3, (1.0, 3.0), seed=4).locals[0].components
+    cuts = np.cumsum([0, 2, 5, 1, 4])
+    return ProblemInstance(locals=[LocalObjective(components=comps[a:b])
+                                   for a, b in zip(cuts, cuts[1:])])
+
+
+@pytest.mark.parametrize("family", ["quadratic", "uneven", "logistic",
+                                    "localization"])
+@pytest.mark.parametrize("rule", engine.ALGORITHMS)
+def test_run_matches_per_agent_reference(family, rule):
+    prob, alpha = {
+        "quadratic": lambda: (quadratic_family(6, 4, 3, (1.0, 3.0), seed=1), 0.05),
+        "uneven": lambda: (uneven_quadratic(), 0.05),
+        "logistic": lambda: (harness.gaussian_logistic_instance(6, 4, n=3, seed=2),
+                             0.02),
+        "localization": lambda: (harness.localization_instance(
+            m=6, q_i=5, sigma=5.0, seed=3)[0], 0.1),
+    }[family]()
+    w = mixing("random_gnp", prob.m, p=0.6, seed=5)
+    _, state = engine.run(rule, prob, w, alpha, 200, seed=8)
+    x, tracker, g = reference_run(rule, prob, w, alpha, 200, seed=8)
+    got = (state.x, state.lam if rule == "primal_dual" else state.y, state.g_prev)
+    for a, b in zip(got, (x, tracker, g)):
+        assert np.abs(a - b).max() <= 1e-12 * max(1.0, np.abs(b).max())
+
+
+def test_mixed_component_classes_rejected():
+    from sdiging.objectives import DiskDistance
+    quad = quadratic_family(1, 1, 2, (1.0, 2.0), seed=0).locals[0]
+    disk = LocalObjective(components=[DiskDistance(r=np.zeros(2), c_meas=1.0,
+                                                   a=1.0)])
+    prob = ProblemInstance(locals=[quad, disk])
+    w = mixing("ring", 2)
+    for rule in engine.ALGORITHMS:
+        with pytest.raises(InvalidArgumentError):
+            engine.run(rule, prob, w, 0.01, 10)

@@ -64,6 +64,27 @@ def test_gnp_mean_edge_count_matches_rejection_oracle():
     assert abs(np.mean(built) - np.mean(oracle)) < 3.0 * np.sqrt(2.0) * se
 
 
+def per_draw_gnp(m, p, seed):
+    """G(m, p) with one scalar uniform per pair, retried on a fresh stream
+    until connected: the sampler's reference draw order."""
+    for attempt in range(1000):
+        rng = np.random.default_rng([seed, attempt])
+        edges = {(i, j) for i in range(1, m + 1) for j in range(i + 1, m + 1)
+                 if rng.random() < p}
+        if graph._is_connected(m, edges):
+            return edges, attempt
+    raise AssertionError("no connected sample")
+
+
+@pytest.mark.parametrize("m, p, seed, retries", [
+    (1000, 0.02, 3, 0), (1000, 0.02, 7, 0), (20, 0.4, 3, 0),
+    (50, 0.05, 1, 3), (12, 0.15, 4, 2)])
+def test_gnp_edges_match_per_draw_sampling(m, p, seed, retries):
+    t = graph.build_topology("random_gnp", m, p=p, seed=seed)
+    assert (t.edges, t.retries) == (frozenset(per_draw_gnp(m, p, seed)[0]),
+                                    retries)
+
+
 def test_gnp_retry_exhaustion():
     # p so small that a connected sample on m=30 essentially never appears
     with pytest.raises(ConstructionFailure):

@@ -237,6 +237,21 @@ def test_run_experiment_outputs(tmp_path):
     assert "problem.mu" in meta
 
 
+def test_run_experiment_records_resolved_graph(tmp_path):
+    # a ring of 4 requests laziness 0.1 but needs 0.3 for a positive spectrum
+    meta = harness.run_experiment(harness.parse_config(write_config(tmp_path))) \
+        .meta_path.read_text().splitlines()
+    assert "config.laziness = 0.1" in meta
+    assert "resolved.laziness = 0.3" in meta
+    assert "resolved.gnp_retries = 0" in meta
+    # G(12, 0.15) at seed 4 is connected only on its third sample
+    text = GOOD_CONFIG.replace("kind = ring\nm = 4\nseed = 2",
+                               "kind = random_gnp\nm = 12\np = 0.15\nseed = 4")
+    meta = harness.run_experiment(harness.parse_config(
+        write_config(tmp_path, text=text))).meta_path.read_text().splitlines()
+    assert "resolved.gnp_retries = 2" in meta
+
+
 def test_run_experiment_auto_alpha(tmp_path):
     text = GOOD_CONFIG.replace("alpha = 0.01", "alpha = auto")
     cfg = harness.parse_config(write_config(tmp_path, text=text))

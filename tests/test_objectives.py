@@ -317,3 +317,62 @@ def test_points_csv_loader(tmp_path):
     pts = objectives.load_points_csv(path)
     assert pts.shape == (2, 2)
     assert np.allclose(pts[1], [2.5, -3.5])
+
+
+# ---------------------------------------------------------------------------
+# stacked gradients and the per-agent oracle
+# ---------------------------------------------------------------------------
+
+def stacked_cases():
+    """(components, points) per family, including the edge cases."""
+    rng = np.random.default_rng(21)
+    quad = quadratic_family(1, 6, 3, (1.0, 3.0), seed=2).locals[0].components
+    logi = [LogisticSample(c=rng.standard_normal(3), label=int(l), lam=1.5,
+                           m=4, q=6) for l in rng.choice([-1, 1], size=6)]
+    disks = [DiskDistance(r=rng.uniform(-2, 2, 2), c_meas=rng.uniform(0.5, 2),
+                          a=1.0) for _ in range(4)]
+    disks.append(DiskDistance(r=np.zeros(2), c_meas=-3.0, a=1.0))  # clamped
+    disks.append(DiskDistance(r=np.ones(2), c_meas=4.0, a=4.0))    # radius 1
+    disk_x = rng.uniform(-4, 4, (6, 2))
+    disk_x[5] = [1.2, 1.3]                                  # inside its disk
+    means = [KMeansPoint(p=rng.standard_normal(2), k=3) for _ in range(4)]
+    means.append(KMeansPoint(p=np.zeros(2), k=3))
+    mean_x = rng.uniform(-3, 3, (5, 6))
+    mean_x[4] = [1.0, 0.0, -1.0, 0.0, 0.0, 5.0]             # tie of centers 0, 1
+    return [(quad, rng.standard_normal((6, 3))),
+            (logi, 3.0 * rng.standard_normal((6, 3))),
+            (disks, disk_x), (means, mean_x)]
+
+
+def test_stacked_gradient_matches_scalar():
+    for comps, x in stacked_cases():
+        cls = type(comps[0])
+        got = cls.stacked_gradient(cls.stack_params(comps), x)
+        want = np.stack([c.gradient(xk) for c, xk in zip(comps, x)])
+        assert np.abs(got - want).max() <= 1e-12, cls.__name__
+    disks, x = stacked_cases()[2]
+    assert disks[4].clamped
+    assert np.all(DiskDistance.stacked_gradient(
+        DiskDistance.stack_params(disks), x)[5] == 0.0)
+    means, x = stacked_cases()[3]
+    tie = KMeansPoint.stacked_gradient(KMeansPoint.stack_params(means), x)[4]
+    assert np.array_equal(tie, [2.0, 0.0, 0.0, 0.0, 0.0, 0.0])
+
+
+def test_problem_oracle_matches_per_agent_loops():
+    comps = quadratic_family(1, 9, 2, (1.0, 2.0), seed=3).locals[0].components
+    sizes = [3, 1, 5]                         # uneven q exercises the offsets
+    cuts = np.cumsum([0] + sizes)
+    prob = objectives.ProblemInstance(locals=[
+        LocalObjective(components=comps[a:b]) for a, b in zip(cuts, cuts[1:])])
+    rng = np.random.default_rng(5)
+    x = rng.standard_normal((3, 2))
+    want = np.stack([full_local_gradient(lo, xi)
+                     for lo, xi in zip(prob.locals, x)])
+    assert np.abs(prob.local_gradients(x) - want).max() <= 1e-12
+    for h in ([0, 0, 0], [2, 0, 4], [1, 0, 3]):
+        want = np.stack([lo.components[hi].gradient(xi)
+                         for lo, hi, xi in zip(prob.locals, h, x)])
+        assert np.abs(prob.component_gradients(x, np.array(h)) - want).max() \
+            <= 1e-12
+

@@ -3,7 +3,7 @@ import copy
 import numpy as np
 import pytest
 
-from sdiging import saga
+from sdiging import engine, graph, saga
 from sdiging.errors import InvalidArgumentError
 from sdiging.objectives import (
     LocalObjective,
@@ -180,3 +180,45 @@ def test_lean_mode_drops_points():
     assert t.stored_points is None
     saga.stochastic_avg_gradient(t, lo, np.ones(2), 1)
     t.check_integrity()
+
+
+
+@pytest.mark.parametrize("q", [1, 2, 7, 30, 1000, 2 ** 20])
+def test_block_draws_match_single_draws(q):
+    # Tables read each agent's stream BLOCK draws at a time; streams and
+    # checkpoints survive only because that changes no value.
+    n = 2 * saga.BLOCK + 5
+    for seed in (0, 1, 77, 2 ** 63 + 5):
+        for agent in (0, 3, 999):
+            key = np.array([seed, agent], dtype=np.uint64)
+            single = np.random.Generator(np.random.Philox(key=key))
+            expect = [int(single.integers(1, q + 1)) for _ in range(n)]
+            block = np.random.Generator(np.random.Philox(key=key))
+            got = np.concatenate([block.integers(1, q + 1, size=saga.BLOCK)
+                                  for _ in range(3)])
+            assert got[:n].tolist() == expect
+            # both draw paths of the tables: one agent's view, and the block
+            # path the engine uses
+            tables = saga.GradientTables(np.zeros((2, q, 1)), [q, q], seed,
+                                         [agent, agent])
+            assert [tables[0].draw_index() for _ in range(n)] == expect
+            assert [int(tables.draw()[1]) for _ in range(n)] == expect
+
+
+def test_checkpoint_mid_block_of_engine_tables():
+    prob = quadratic_family(3, 5, 2, (1.0, 2.0), seed=19)
+    w = graph.metropolis_weights(graph.build_topology("ring", 3))
+    tables = engine.make_tables(prob, seed=31)
+    s = engine.init_sdiging_state(prob, tables)
+    rounds = saga.BLOCK + saga.BLOCK // 2 + 3      # not a multiple of BLOCK
+    for _ in range(rounds):
+        s = engine.sdiging_step(s, w, tables, prob, 0.01)
+    restored = [saga.load_table(saga.dump_table(t), lo)
+                for t, lo in zip(tables, prob.locals)]
+    for t, back in zip(tables, restored):
+        assert back.draw_count == t.draw_count == rounds   # draws used
+        assert np.array_equal(back.stored_grads, t.stored_grads)
+        assert np.array_equal(back.grad_sum, t.grad_sum)
+    ahead = np.stack([tables.draw() for _ in range(20)])
+    for i, back in enumerate(restored):
+        assert [back.draw_index() for _ in range(20)] == ahead[:, i].tolist()
