@@ -24,10 +24,10 @@ print(f"guaranteed rounds to 1e-6 squared error: {k_needed}")
 
 rounds = 3000
 tables = engine.make_tables(prob, seed=1)
-state = engine.init_sdiging_state(prob, tables)
+state = engine.init_state("sdiging", prob, tables)
 errs = []
 for _ in range(rounds):
-    state = engine.sdiging_step(state, w, tables, prob, cert.alpha)
+    state = engine.step("sdiging", state, w, prob, cert.alpha, tables)
     errs.append(float(np.mean(np.sum((state.x - prob.known_optimum) ** 2,
                                      axis=1))))
 burn = rounds // 10

@@ -19,7 +19,6 @@ import numpy as np
 
 from sdiging.errors import (
     CertificationRefused,
-    ConfigError,
     DivergenceError,
     InvalidArgumentError,
 )
@@ -41,9 +40,9 @@ RESIDUAL_FLOOR = -16.0
 class NetworkState:
     """Stacked per-agent state at one synchronous round.
 
-    ``x`` is m x n.  Gradient-tracking states carry ``y`` and, for the
-    stochastic variant, the last gradient estimates ``g_prev``; the
-    primal-dual state carries ``lam`` instead of ``y``.
+    ``x`` is m x n and ``g_prev`` holds the last gradients (or their SAGA
+    estimates).  Gradient-tracking states carry the tracker ``y``; the
+    primal-dual state carries ``lam`` instead.
     """
 
     x: np.ndarray
@@ -51,13 +50,6 @@ class NetworkState:
     lam: np.ndarray | None = None
     g_prev: np.ndarray | None = None
     k: int = 0
-
-
-def init_diging_state(problem: ProblemInstance) -> NetworkState:
-    """x_0 = 0 and the tracker seeded with the full local gradients."""
-    x0 = np.zeros((problem.m, problem.dim))
-    g0 = problem.local_gradients(x0)
-    return NetworkState(x=x0, y=g0.copy(), g_prev=g0)
 
 
 def make_tables(problem: ProblemInstance, seed: int) -> GradientTables:
@@ -72,28 +64,35 @@ def make_tables(problem: ProblemInstance, seed: int) -> GradientTables:
     return GradientTables(grads, q, seed, range(problem.m))
 
 
-def init_sdiging_state(problem: ProblemInstance,
-                       tables: GradientTables) -> NetworkState:
+def _check_rule(rule: str):
+    if rule not in ALGORITHMS:
+        raise InvalidArgumentError(f"unknown algorithm {rule!r}")
+
+
+def init_state(rule: str, problem: ProblemInstance,
+               tables: GradientTables | None = None) -> NetworkState:
+    """Round-0 state of ``rule``: x_0 = 0, and the first gradients are the
+    tables' averages, or the full local gradients without tables."""
+    _check_rule(rule)
     x0 = np.zeros((problem.m, problem.dim))
-    g0 = tables.full_gradient_estimate()
+    g0 = problem.local_gradients(x0) if tables is None \
+        else tables.sums / tables.q[:, None]
+    if rule == "primal_dual":
+        return NetworkState(x=x0, lam=np.zeros_like(x0), g_prev=g0)
     return NetworkState(x=x0, y=g0.copy(), g_prev=g0)
 
 
-def init_primal_dual_state(problem: ProblemInstance,
-                           tables: GradientTables) -> NetworkState:
-    x0 = np.zeros((problem.m, problem.dim))
-    g0 = tables.full_gradient_estimate()
-    return NetworkState(x=x0, lam=np.zeros_like(x0), g_prev=g0)
-
-
-def _round(rule: str, s: NetworkState, w: MixingMatrix, problem: ProblemInstance,
-           alpha: float, tables: GradientTables | None = None) -> NetworkState:
+def step(rule: str, s: NetworkState, w: MixingMatrix, problem: ProblemInstance,
+         alpha: float, tables: GradientTables | None = None) -> NetworkState:
     """One synchronous round of ``rule`` for all agents at once.
 
-    Every agent gets one gradient at its new iterate: its full local
-    gradient without tables, else the SAGA estimate from one fresh
-    component drawn from its own stream.
+    Every agent gets one gradient at its new iterate: the SAGA estimate from
+    one fresh component drawn from its own stream, or its full local
+    gradient without tables (so ``sdiging`` without tables is ``diging``).
+    Fed the same streams, ``primal_dual`` and ``sdiging`` have the same
+    x-trajectory.
     """
+    _check_rule(rule)
     dual = rule == "primal_dual"
     if (s.lam if dual else s.y) is None or s.g_prev is None:
         raise InvalidArgumentError(
@@ -117,32 +116,6 @@ def _round(rule: str, s: NetworkState, w: MixingMatrix, problem: ProblemInstance
                             g_prev=g_new, k=s.k + 1)
     return NetworkState(x=x_new, y=mix @ s.y + g_new - s.g_prev, g_prev=g_new,
                         k=s.k + 1)
-
-
-def diging_step(s: NetworkState, w: MixingMatrix, problem: ProblemInstance,
-                alpha: float) -> NetworkState:
-    """One deterministic gradient-tracking round (full local gradients)."""
-    return _round("diging", s, w, problem, alpha)
-
-
-def sdiging_step(s: NetworkState, w: MixingMatrix, tables: GradientTables,
-                 problem: ProblemInstance, alpha: float,
-                 check_tracking: bool = False) -> NetworkState:
-    """One stochastic gradient-tracking round (one fresh gradient per agent)."""
-    out = _round("sdiging", s, w, problem, alpha, tables)
-    if check_tracking:
-        assert_tracking_identity(out, tol=1e-10 * w.m)
-    return out
-
-
-def primal_dual_step(s: NetworkState, w: MixingMatrix, tables: GradientTables,
-                     problem: ProblemInstance, alpha: float) -> NetworkState:
-    """One primal-dual round sharing the stochastic-gradient mechanism.
-
-    Fed the same index streams and zero initialization, the x-trajectory
-    coincides with the stochastic gradient-tracking iteration.
-    """
-    return _round("primal_dual", s, w, problem, alpha, tables)
 
 
 def assert_tracking_identity(s: NetworkState, tol: float):
@@ -333,15 +306,14 @@ def consensus_gap(x: np.ndarray) -> float:
 
 def run(algorithm: str, problem: ProblemInstance, w: MixingMatrix, alpha: float,
         rounds: int, seed: int = 0, record_every: int | None = None,
-        reference: np.ndarray | None = None, check_tracking: bool = False):
+        reference: np.ndarray | None = None):
     """Execute synchronous rounds and collect a trace.
 
     Returns ``(trace, final_state)``.  The residual column is NaN when no
     reference optimum is supplied.  Raises DivergenceError (carrying the
     partial trace) if an iterate norm passes the guard threshold.
     """
-    if algorithm not in ALGORITHMS:
-        raise InvalidArgumentError(f"unknown algorithm {algorithm!r}")
+    _check_rule(algorithm)
     if rounds < 1:
         raise InvalidArgumentError(f"need rounds >= 1, got {rounds}")
     if w.m != problem.m:
@@ -349,20 +321,11 @@ def run(algorithm: str, problem: ProblemInstance, w: MixingMatrix, alpha: float,
     if record_every is None:
         record_every = max(1, rounds // 2000)
 
-    sum_q = sum(lo.q for lo in problem.locals)
-    if algorithm == "diging":
-        state = init_diging_state(problem)
-        tables = None
-        evals = sum_q
-        per_round = sum_q
-    else:
-        tables = make_tables(problem, seed)
-        if algorithm == "sdiging":
-            state = init_sdiging_state(problem, tables)
-        else:
-            state = init_primal_dual_state(problem, tables)
-        evals = problem.m
-        per_round = problem.m
+    tables = None if algorithm == "diging" else make_tables(problem, seed)
+    state = init_state(algorithm, problem, tables)
+    per_round = problem.m if tables is not None \
+        else sum(lo.q for lo in problem.locals)
+    evals = per_round
 
     trace = RunTrace()
     t0 = time.perf_counter()
@@ -378,13 +341,7 @@ def run(algorithm: str, problem: ProblemInstance, w: MixingMatrix, alpha: float,
 
     record(state)
     for _ in range(rounds):
-        if algorithm == "diging":
-            state = diging_step(state, w, problem, alpha)
-        elif algorithm == "sdiging":
-            state = sdiging_step(state, w, tables, problem, alpha,
-                                 check_tracking=check_tracking)
-        else:
-            state = primal_dual_step(state, w, tables, problem, alpha)
+        state = step(algorithm, state, w, problem, alpha, tables)
         evals += per_round
         # NaN and inf entries fail the comparison too
         if not float(np.linalg.norm(state.x)) <= DIVERGENCE_NORM:
@@ -396,8 +353,3 @@ def run(algorithm: str, problem: ProblemInstance, w: MixingMatrix, alpha: float,
             record(state)
     return trace, state
 
-
-def require_reference(reference, purpose="residual recording"):
-    if reference is None:
-        raise ConfigError(f"a reference optimum is required for {purpose}")
-    return reference

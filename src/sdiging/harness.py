@@ -12,7 +12,7 @@ from __future__ import annotations
 import configparser
 import math
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -221,23 +221,20 @@ def _lloyd_reference(problem: ProblemInstance, restarts: int = 10,
 def reference_solution(problem: ProblemInstance, seed: int = 0,
                        tol: float = REFERENCE_TOL,
                        max_oracle: int = REFERENCE_MAX_ORACLE) -> ReferenceSolution:
-    """Centralized optimum of the aggregate objective, cached per instance."""
-    cached = getattr(problem, "_reference", None)
-    if cached is not None:
-        return cached
+    """Centralized optimum of the aggregate objective, cached per instance
+    and per (seed, tol, max_oracle)."""
+    cache = vars(problem).setdefault("_references", {})
+    key = (seed, tol, max_oracle)
+    if key in cache:
+        return cache[key]
     if isinstance(problem.locals[0].components[0], KMeansPoint):
         sol = _lloyd_reference(problem, seed=seed)
     else:
         x0 = problem.known_optimum.copy() if problem.known_optimum is not None \
             else np.zeros(problem.dim)
         sol = _accelerated_descent(problem, x0, tol=tol, max_oracle=max_oracle)
-    problem._reference = sol
+    cache[key] = sol
     return sol
-
-
-def residual(x: np.ndarray, x_star: np.ndarray) -> float:
-    """log10 of the mean agent distance to the reference."""
-    return engine.residual_log10(x, x_star)
 
 
 # ---------------------------------------------------------------------------
@@ -291,7 +288,6 @@ class ExperimentConfig:
     logistic_csv: str | None = None
     output_dir: str = "."
     prefix: str = "experiment"
-    resolved: dict = field(default_factory=dict)
 
 
 def parse_config(path) -> ExperimentConfig:
@@ -439,8 +435,6 @@ def _write_metadata(path: Path, cfg: ExperimentConfig, w: graph.MixingMatrix,
                     alpha, cert, ref, problem, extra=None):
     lines = ["# sdiging experiment metadata"]
     for key, val in sorted(vars(cfg).items()):
-        if key == "resolved":
-            continue
         lines.append(f"config.{key} = {val}")
     lines.append(f"resolved.alpha = {alpha}")
     lines.append(f"resolved.laziness = {w.laziness}")

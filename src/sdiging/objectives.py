@@ -344,28 +344,13 @@ def quadratic_family(m: int, q_i: int, n: int, condition_range, seed: int) -> Pr
     return ProblemInstance(locals=locals_, known_optimum=x_star)
 
 
-def logistic_instantaneous(c, label, lam: float, m: int, q: int) -> LogisticSample:
-    """One regularized logistic component scaled for a q-sample agent."""
-    return LogisticSample(c=c, label=label, lam=lam, m=m, q=q)
-
-
-def localization_instantaneous(r, c_meas: float, a: float) -> DiskDistance:
-    """One squared-distance-to-disk component of the source localizer."""
-    return DiskDistance(r=r, c_meas=c_meas, a=a)
-
-
-def kmeans_instantaneous(p, k: int) -> KMeansPoint:
-    """One clustering-error component over stacked centers."""
-    return KMeansPoint(p=p, k=k)
-
-
 def make_logistic_local(features, labels, lam: float, m: int) -> LocalObjective:
     """Agent-local logistic objective with a vectorized full gradient."""
     features = np.asarray(features, dtype=float)
     labels = np.asarray(labels, dtype=int)
     q = features.shape[0]
-    comps = [logistic_instantaneous(features[h], int(labels[h]), lam, m, q)
-             for h in range(q)]
+    comps = [LogisticSample(c=features[h], label=int(labels[h]), lam=lam, m=m,
+                            q=q) for h in range(q)]
     lam_m = lam / m
     lc = labels[:, None] * features         # q x n
 

@@ -7,7 +7,6 @@ import pytest
 from sdiging import engine, graph, harness
 from sdiging.errors import (
     CertificationRefused,
-    ConfigError,
     DivergenceError,
     InvalidArgumentError,
 )
@@ -42,10 +41,10 @@ def test_single_agent_reduces_to_gradient_descent():
     w = graph.MixingMatrix(w=np.eye(1), eig_w=np.array([1.0]),
                            laziness=0.0, topology=t)
     alpha = 0.3
-    state = engine.init_diging_state(prob)
+    state = engine.init_state("diging", prob)
     x_plain = np.zeros(2)
     for _ in range(25):
-        state = engine.diging_step(state, w, prob, alpha)
+        state = engine.step("diging", state, w, prob, alpha)
         x_plain = x_plain - alpha * prob.locals[0].full_gradient(x_plain)
         assert np.allclose(state.x[0], x_plain, atol=1e-12)
         assert np.allclose(state.y[0], prob.locals[0].full_gradient(state.x[0]),
@@ -65,7 +64,7 @@ def test_zero_objective_mixes_to_consensus():
                                 g_prev=np.zeros((m, 2)))
     mean0 = x.mean(axis=0)
     for _ in range(400):
-        state = engine.diging_step(state, w, prob, alpha=0.1)
+        state = engine.step("diging", state, w, prob, alpha=0.1)
     assert np.abs(state.x - mean0[None, :]).max() < 1e-10
 
 
@@ -74,10 +73,10 @@ def test_first_primal_dual_iterate_matches_sdiging():
     w = mixing("ring", 4)
     tables_a = engine.make_tables(prob, seed=9)
     tables_b = engine.make_tables(prob, seed=9)
-    sa = engine.init_sdiging_state(prob, tables_a)
-    sb = engine.init_primal_dual_state(prob, tables_b)
-    sa = engine.sdiging_step(sa, w, tables_a, prob, 0.01)
-    sb = engine.primal_dual_step(sb, w, tables_b, prob, 0.01)
+    sa = engine.init_state("sdiging", prob, tables_a)
+    sb = engine.init_state("primal_dual", prob, tables_b)
+    sa = engine.step("sdiging", sa, w, prob, 0.01, tables_a)
+    sb = engine.step("primal_dual", sb, w, prob, 0.01, tables_b)
     assert np.allclose(sa.x, sb.x, atol=1e-14)
     assert np.allclose(sb.x, -0.01 * np.stack(
         [lo.full_gradient(np.zeros(2)) for lo in prob.locals]), atol=1e-13)
@@ -89,12 +88,12 @@ def test_equivalence_over_100_rounds():
         w = mixing("random_gnp", 10, p=0.4, seed=seed)
         ta = engine.make_tables(prob, seed=seed)
         tb = engine.make_tables(prob, seed=seed)
-        sa = engine.init_sdiging_state(prob, ta)
-        sb = engine.init_primal_dual_state(prob, tb)
+        sa = engine.init_state("sdiging", prob, ta)
+        sb = engine.init_state("primal_dual", prob, tb)
         worst = 0.0
         for _ in range(100):
-            sa = engine.sdiging_step(sa, w, ta, prob, 0.02)
-            sb = engine.primal_dual_step(sb, w, tb, prob, 0.02)
+            sa = engine.step("sdiging", sa, w, prob, 0.02, ta)
+            sb = engine.step("primal_dual", sb, w, prob, 0.02, tb)
             worst = max(worst, float(np.abs(sa.x - sb.x).max()))
         assert worst < 1e-9
 
@@ -103,19 +102,22 @@ def test_tracking_identity_enforced():
     prob = quadratic_family(5, 3, 2, (1.0, 2.0), seed=2)
     w = mixing("complete", 5)
     tables = engine.make_tables(prob, seed=0)
-    s = engine.init_sdiging_state(prob, tables)
+    s = engine.init_state("sdiging", prob, tables)
     for _ in range(200):
-        s = engine.sdiging_step(s, w, tables, prob, 0.01, check_tracking=True)
-    engine.assert_tracking_identity(s, tol=1e-10 * 5)
+        s = engine.step("sdiging", s, w, prob, 0.01, tables)
+        engine.assert_tracking_identity(s, tol=1e-10 * 5)
+    broken = engine.NetworkState(x=s.x, y=s.y + 1e-6, g_prev=s.g_prev, k=s.k)
+    with pytest.raises(AssertionError):
+        engine.assert_tracking_identity(broken, tol=1e-10 * 5)
 
 
 def test_dual_stays_in_range_space():
     prob = quadratic_family(6, 2, 2, (1.0, 2.0), seed=3)
     w = mixing("ring", 6)
     tables = engine.make_tables(prob, seed=1)
-    s = engine.init_primal_dual_state(prob, tables)
+    s = engine.init_state("primal_dual", prob, tables)
     for _ in range(150):
-        s = engine.primal_dual_step(s, w, tables, prob, 0.01)
+        s = engine.step("primal_dual", s, w, prob, 0.01, tables)
         assert np.linalg.norm(s.lam.mean(axis=0)) < 1e-10
 
 
@@ -123,14 +125,25 @@ def test_step_rejects_wrong_state():
     prob = quadratic_family(3, 2, 2, (1.0, 2.0), seed=4)
     w = mixing("ring", 3)
     tables = engine.make_tables(prob, seed=0)
-    dual = engine.init_primal_dual_state(prob, tables)
+    dual = engine.init_state("primal_dual", prob, tables)
     with pytest.raises(InvalidArgumentError):
-        engine.diging_step(dual, w, prob, 0.01)
+        engine.step("diging", dual, w, prob, 0.01)
     with pytest.raises(InvalidArgumentError):
-        engine.sdiging_step(dual, w, tables, prob, 0.01)
-    tracking = engine.init_sdiging_state(prob, tables)
+        engine.step("sdiging", dual, w, prob, 0.01, tables)
+    tracking = engine.init_state("sdiging", prob, tables)
     with pytest.raises(InvalidArgumentError):
-        engine.primal_dual_step(tracking, w, tables, prob, 0.01)
+        engine.step("primal_dual", tracking, w, prob, 0.01, tables)
+
+
+def test_step_rejects_unknown_rule():
+    prob = quadratic_family(3, 2, 2, (1.0, 2.0), seed=4)
+    w = mixing("ring", 3)
+    tables = engine.make_tables(prob, seed=0)
+    s = engine.init_state("sdiging", prob, tables)
+    with pytest.raises(InvalidArgumentError):
+        engine.step("sgd", s, w, prob, 0.01, tables)
+    with pytest.raises(InvalidArgumentError):
+        engine.init_state("sgd", prob, tables)
 
 
 # ---------------------------------------------------------------------------
@@ -327,13 +340,6 @@ def test_trace_csv_shape():
     lines = trace.to_csv().strip().splitlines()
     assert lines[0] == "round,residual_log10,consensus_gap,grad_evals,wall_ms"
     assert len(lines) == 1 + len(trace.rounds)
-
-
-def test_require_reference():
-    with pytest.raises(ConfigError):
-        engine.require_reference(None)
-    x = np.zeros(2)
-    assert engine.require_reference(x) is x
 
 
 # ---------------------------------------------------------------------------

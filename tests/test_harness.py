@@ -109,6 +109,15 @@ def test_reference_cached_and_idempotent():
     assert np.array_equal(r1.x, r2.x)
 
 
+def test_reference_cache_keyed_on_arguments():
+    prob = harness.gaussian_logistic_instance(m=4, q_i=6, n=3, seed=2)
+    loose = harness.reference_solution(prob, tol=1e-2)
+    tight = harness.reference_solution(prob)
+    assert tight is not loose
+    assert tight.grad_norm < harness.REFERENCE_TOL
+    assert harness.reference_solution(prob, tol=1e-2) is loose
+
+
 def test_reference_localization_noiseless():
     prob, source = harness.localization_instance(m=10, q_i=5, sigma=0.0, seed=10)
     ref = harness.reference_solution(prob, seed=0)
@@ -136,8 +145,8 @@ def test_reference_kmeans_centroid_and_recovery():
 
 def test_residual_helper_examples():
     x = np.array([[1.0, 0.0], [10.0, 0.0]])
-    assert harness.residual(x, np.zeros(2)) == pytest.approx(math.log10(5.5))
-    assert harness.residual(np.zeros((2, 2)), np.zeros(2)) == -16.0
+    assert engine.residual_log10(x, np.zeros(2)) == pytest.approx(math.log10(5.5))
+    assert engine.residual_log10(np.zeros((2, 2)), np.zeros(2)) == -16.0
 
 
 def test_residual_monotone_in_single_distance():
@@ -145,7 +154,7 @@ def test_residual_monotone_in_single_distance():
     base = np.array([[1.0, 0.0], [2.0, 0.0]])
     bumped = base.copy()
     bumped[0, 0] = 1.5
-    assert harness.residual(bumped, x_star) > harness.residual(base, x_star)
+    assert engine.residual_log10(bumped, x_star) > engine.residual_log10(base, x_star)
 
 
 # ---------------------------------------------------------------------------
