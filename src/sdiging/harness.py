@@ -428,7 +428,7 @@ class ExperimentResult:
     trace: engine.RunTrace
     final_state: engine.NetworkState
     certificate: engine.RateCertificate | None
-    reference: ReferenceSolution | None
+    reference: ReferenceSolution
 
 
 def _write_metadata(path: Path, cfg: ExperimentConfig, w: graph.MixingMatrix,
@@ -446,6 +446,7 @@ def _write_metadata(path: Path, cfg: ExperimentConfig, w: graph.MixingMatrix,
     if ref is not None:
         lines.append(f"reference.grad_norm = {ref.grad_norm}")
         lines.append(f"reference.certified = {ref.certified}")
+        lines.append(f"reference.oracle_calls = {ref.oracle_calls}")
     if cert is not None:
         for ln in cert.to_text().strip().splitlines():
             lines.append(f"certificate.{ln}")
@@ -458,7 +459,8 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentResult:
     """Execute one experiment; writes the trace CSV and metadata sidecar.
 
     On divergence the partial trace is preserved with a ``.partial``
-    suffix and the error is re-raised.
+    suffix and the error is re-raised.  A reference solve that fails
+    writes the metadata, no trace, and re-raises.
     """
     out_dir = Path(cfg.output_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -466,18 +468,19 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentResult:
     problem = build_problem(cfg)
     alpha, cert = resolve_alpha(cfg, w, problem)
 
-    try:
-        ref = reference_solution(problem, seed=cfg.problem_seed)
-    except ReferenceFailure:
-        ref = None
-    reference = ref.x if ref is not None else None
-
     trace_path = out_dir / f"{cfg.prefix}.csv"
     meta_path = out_dir / f"{cfg.prefix}.meta.txt"
     try:
+        ref = reference_solution(problem, seed=cfg.problem_seed)
+    except ReferenceFailure as exc:
+        _write_metadata(meta_path, cfg, w, alpha, cert, None, problem,
+                        extra=[f"aborted = reference_failure: {exc}"])
+        raise
+
+    try:
         trace, final_state = engine.run(
             cfg.algorithm, problem, w, alpha, cfg.rounds, seed=cfg.run_seed,
-            record_every=cfg.record_every, reference=reference)
+            record_every=cfg.record_every, reference=ref.x)
     except DivergenceError as exc:
         partial = out_dir / f"{cfg.prefix}.csv.partial"
         partial.write_text(exc.trace.to_csv())
@@ -487,8 +490,8 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentResult:
     trace_path.write_text(trace.to_csv())
 
     extra = []
-    if cert is not None and cert.valid and reference is not None:
-        kappa = float(np.sum(reference ** 2)) * problem.m
+    if cert is not None and cert.valid:
+        kappa = float(np.sum(ref.x ** 2)) * problem.m
         if kappa > 0:
             extra.append("iterations_to_epsilon = %d" % engine.
                          iterations_to_accuracy(cert, kappa, cfg.epsilon))

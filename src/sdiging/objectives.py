@@ -95,6 +95,36 @@ class LogisticSample:
         z = -np.einsum("kn,kn->k", lc, x)
         return lam_m[:, None] * x - expit(z)[:, None] * qlc
 
+    # The two oracles below give every agent's local average at one point x,
+    # agent i's components being rows offsets[i] .. offsets[i] + q[i] - 1.
+    # For agents built by make_logistic_local (one lam_m, q = the agent's
+    # component count) the q's cancel: lam_m*x - sum_h sigmoid(-lc_h.x)*lc_h.
+    # With equal q the sums are a batched matmul and a row sum, which round
+    # as one agent's do; uneven q sums with reduceat.
+
+    @staticmethod
+    def local_gradients_at(params, offsets, q, x):
+        """Row i: agent i's full local gradient at x."""
+        lam_m, lc, _ = params
+        s, m = expit(-(lc @ x)), len(q)
+        if (q == q[0]).all():
+            tilt = (s.reshape(m, 1, -1) @ lc.reshape(m, q[0], -1))[:, 0]
+        else:
+            tilt = np.add.reduceat(s[:, None] * lc, offsets, axis=0)
+        return lam_m[offsets, None] * x - tilt
+
+    @staticmethod
+    def local_values_at(params, offsets, q, x):
+        """Entry i: agent i's local objective value at x."""
+        lam_m, lc, _ = params
+        z = -(lc @ x)
+        soft = np.maximum(z, 0.0) + np.log1p(np.exp(-np.abs(z)))
+        if (q == q[0]).all():
+            sums = soft.reshape(len(q), -1).sum(axis=1)
+        else:
+            sums = np.add.reduceat(soft, offsets)
+        return 0.5 * lam_m[offsets] * float(x @ x) + sums
+
 
 class DiskDistance:
     """Squared distance to the disk of radius sqrt(a/c) around a sensor.
@@ -201,8 +231,6 @@ class LocalObjective:
     """Average of q equal-dimension component functions held by one agent."""
 
     components: list
-    batch_gradient: object = None    # optional vectorized full-gradient callable
-    batch_value: object = None       # optional vectorized value callable
 
     def __post_init__(self):
         if not self.components:
@@ -220,13 +248,9 @@ class LocalObjective:
         return self.components[0].dim
 
     def value(self, x):
-        if self.batch_value is not None:
-            return self.batch_value(x)
         return sum(c.value(x) for c in self.components) / self.q
 
     def full_gradient(self, x):
-        if self.batch_gradient is not None:
-            return self.batch_gradient(x)
         return full_local_gradient(self, x)
 
 
@@ -236,7 +260,9 @@ class ProblemInstance:
 
     ``component_gradients`` and ``local_gradients`` evaluate one gradient
     per agent at the rows of a stacked m x n iterate.  They read the
-    component parameters stacked agent-major, built on first use.
+    component parameters stacked agent-major, built on first use.  On a
+    logistic problem ``aggregate_value``/``aggregate_gradient`` read them
+    too; every other problem, mixed classes included, sums agent by agent.
     """
 
     locals: list
@@ -256,6 +282,11 @@ class ProblemInstance:
         self.q_max = max(lo.q for lo in self.locals)
         self.mu = min(c.mu for lo in self.locals for c in lo.components)
         self.lip = max(c.lip for lo in self.locals for c in lo.components)
+        # LogisticSample.local_*_at hold for agents as make_logistic_local
+        # builds them; any other problem keeps the per-agent sum
+        self._logistic = all(type(c) is LogisticSample and c.q == lo.q
+                             and c.lam_m == lo.components[0].lam_m
+                             for lo in self.locals for c in lo.components)
 
     @property
     def m(self) -> int:
@@ -267,13 +298,20 @@ class ProblemInstance:
 
     def aggregate_value(self, x):
         """Value of the average objective (1/m) sum_i f_i at a single point."""
+        if self._logistic:
+            _, params, offsets, q = self._stack()
+            values = LogisticSample.local_values_at(params, offsets, q, x)
+            return sum(values.tolist()) / self.m
         return sum(lo.value(x) for lo in self.locals) / self.m
 
     def aggregate_gradient(self, x):
-        g = np.zeros(self.dim)
-        for lo in self.locals:
-            g += lo.full_gradient(x)
-        return g / self.m
+        if self._logistic:
+            _, params, offsets, q = self._stack()
+            rows = LogisticSample.local_gradients_at(params, offsets, q, x)
+            # a running sum adds the agents in order, as a loop does, for
+            # every n; add.reduce sums pairwise when n == 1
+            return np.add.accumulate(rows, axis=0)[-1] / self.m
+        return sum(lo.full_gradient(x) for lo in self.locals) / self.m
 
     def _stack(self):
         """(stacked_gradient, params, offsets, q): agent i's components are
@@ -345,28 +383,13 @@ def quadratic_family(m: int, q_i: int, n: int, condition_range, seed: int) -> Pr
 
 
 def make_logistic_local(features, labels, lam: float, m: int) -> LocalObjective:
-    """Agent-local logistic objective with a vectorized full gradient."""
+    """Agent-local logistic objective: one LogisticSample per labelled row."""
     features = np.asarray(features, dtype=float)
     labels = np.asarray(labels, dtype=int)
     q = features.shape[0]
-    comps = [LogisticSample(c=features[h], label=int(labels[h]), lam=lam, m=m,
-                            q=q) for h in range(q)]
-    lam_m = lam / m
-    lc = labels[:, None] * features         # q x n
-
-    def batch_gradient(x):
-        # mean over components of lam_m*x - q*sigmoid(-lc.x)*lc equals
-        # lam_m*x - sum_h sigmoid(-lc_h.x)*lc_h
-        z = -(lc @ x)
-        return lam_m * x - expit(z) @ lc
-
-    def batch_value(x):
-        z = -(lc @ x)
-        soft = np.maximum(z, 0.0) + np.log1p(np.exp(-np.abs(z)))
-        return 0.5 * lam_m * float(x @ x) + float(soft.sum())
-
-    return LocalObjective(components=comps, batch_gradient=batch_gradient,
-                          batch_value=batch_value)
+    return LocalObjective(components=[
+        LogisticSample(c=features[h], label=int(labels[h]), lam=lam, m=m, q=q)
+        for h in range(q)])
 
 
 def load_logistic_csv(path) -> tuple[np.ndarray, np.ndarray]:

@@ -3,7 +3,8 @@ import sys
 
 import pytest
 
-from sdiging import cli
+from sdiging import cli, harness
+from sdiging.errors import ReferenceFailure
 
 QUAD_CONFIG = """\
 [problem]
@@ -99,6 +100,22 @@ def test_divergence_preserves_partial(tmp_path, capsys):
     assert "divergence:" in capsys.readouterr().err
     assert (tmp_path / "t.csv.partial").is_file()
     assert not (tmp_path / "t.csv").is_file()
+
+
+def test_reference_failure_exits_with_metadata(tmp_path, capsys, monkeypatch):
+    def fail(*args, **kwargs):
+        raise ReferenceFailure("no 1e-10-stationary point within 7 oracle calls")
+
+    monkeypatch.setattr(harness, "reference_solution", fail)
+    rc = cli.main(["run", quad_config(tmp_path)])
+    assert rc == cli.EXIT_REFERENCE
+    assert "reference_failure: no 1e-10-stationary point" in capsys.readouterr().err
+    assert not (tmp_path / "t.csv").exists()
+    assert not (tmp_path / "t.csv.partial").exists()
+    meta = (tmp_path / "t.meta.txt").read_text().splitlines()
+    assert "aborted = reference_failure: no 1e-10-stationary point within " \
+        "7 oracle calls" in meta
+    assert not any(ln.startswith("reference.") for ln in meta)
 
 
 def test_certify_valid(tmp_path, capsys):

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from sdiging import engine, harness
-from sdiging.errors import ConfigError, InvalidArgumentError
+from sdiging.errors import ConfigError, InvalidArgumentError, ReferenceFailure
 from sdiging.objectives import quadratic_family
 
 
@@ -116,6 +116,36 @@ def test_reference_cache_keyed_on_arguments():
     assert tight is not loose
     assert tight.grad_norm < harness.REFERENCE_TOL
     assert harness.reference_solution(prob, tol=1e-2) is loose
+
+
+def count_oracle_calls(prob):
+    """Count calls of the instance's aggregate oracle, as the benchmark does."""
+    calls = [0]
+    for attr in ("aggregate_gradient", "aggregate_value"):
+        bound = getattr(prob, attr)
+
+        def counted(*args, _bound=bound):
+            calls[0] += 1
+            return _bound(*args)
+
+        setattr(prob, attr, counted)
+    return calls
+
+
+def test_reference_oracle_calls_pinned():
+    # m = 1000 ends certified; m = 100 stalls against its budget, and a
+    # step's backtracking in flight takes it two calls past.  Both counts
+    # move if the oracle's rounding does.
+    prob = harness.gaussian_logistic_instance(1000, 10, n=4, seed=3)
+    calls = count_oracle_calls(prob)
+    ref = harness.reference_solution(prob, seed=3)
+    assert calls[0] == ref.oracle_calls == 299
+    assert ref.grad_norm < 1e-10 and ref.certified
+    prob = harness.gaussian_logistic_instance(100, 30, n=4, seed=3)
+    calls = count_oracle_calls(prob)
+    with pytest.raises(ReferenceFailure):
+        harness.reference_solution(prob, seed=3, max_oracle=2000)
+    assert calls[0] == 2002
 
 
 def test_reference_localization_noiseless():
@@ -259,6 +289,17 @@ def test_run_experiment_records_resolved_graph(tmp_path):
     meta = harness.run_experiment(harness.parse_config(
         write_config(tmp_path, text=text))).meta_path.read_text().splitlines()
     assert "resolved.gnp_retries = 2" in meta
+
+
+def test_run_experiment_records_reference_work(tmp_path):
+    text = GOOD_CONFIG.replace("family = quadratic\nq = 3\nn = 2",
+                               "family = gaussian_logistic\nq = 6\nn = 3")
+    result = harness.run_experiment(harness.parse_config(
+        write_config(tmp_path, text=text)))
+    meta = result.meta_path.read_text().splitlines()
+    calls = result.reference.oracle_calls
+    assert calls > 0
+    assert f"reference.oracle_calls = {calls}" in meta
 
 
 def test_run_experiment_auto_alpha(tmp_path):

@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
+from scipy.special import expit
 
-from sdiging import objectives
+from sdiging import harness, objectives
 from sdiging.errors import InvalidArgumentError
 from sdiging.objectives import (
     DiskDistance,
@@ -256,17 +257,90 @@ def test_full_local_gradient_logistic_at_zero():
     assert np.allclose(lo.full_gradient(np.zeros(3)), expect, atol=1e-14)
 
 
-def test_batch_gradient_matches_loop():
+def component_loop(prob, x):
+    """Aggregate gradient and value summed component by component."""
+    g = sum(full_local_gradient(lo, x) for lo in prob.locals) / prob.m
+    v = sum(sum(c.value(x) for c in lo.components) / lo.q
+            for lo in prob.locals) / prob.m
+    return g, v
+
+
+def closure_loop(prob, x):
+    """Aggregate gradient and value of a logistic problem, agent by agent,
+    with the arithmetic of a per-agent vectorized oracle: lam_m*x minus
+    sigmoid(-lc x) @ lc, and 0.5*lam_m*|x|^2 plus the sum of log(1+e^z)."""
+    g = np.zeros(prob.dim)
+    values = []
+    for lo in prob.locals:
+        lc = np.stack([c.label * c.c for c in lo.components])
+        lam_m = lo.components[0].lam_m
+        z = -(lc @ x)
+        g += lam_m * x - expit(z) @ lc
+        soft = np.maximum(z, 0.0) + np.log1p(np.exp(-np.abs(z)))
+        values.append(0.5 * lam_m * float(x @ x) + float(soft.sum()))
+    return g / prob.m, sum(values) / prob.m
+
+
+def test_stacked_aggregate_matches_loop():
     rng = np.random.default_rng(6)
-    feats = rng.standard_normal((8, 4))
-    labels = rng.choice([-1, 1], size=8)
-    lo = objectives.make_logistic_local(feats, labels, lam=2.0, m=3)
+    prob = objectives.ProblemInstance(locals=[
+        objectives.make_logistic_local(rng.standard_normal((8, 4)),
+                                       rng.choice([-1, 1], size=8),
+                                       lam=2.0, m=3)
+        for _ in range(3)])
     for _ in range(20):
         x = rng.standard_normal(4)
-        assert np.allclose(lo.full_gradient(x), full_local_gradient(lo, x),
-                           atol=1e-14)
-        direct = sum(c.value(x) for c in lo.components) / lo.q
-        assert lo.value(x) == pytest.approx(direct, rel=1e-12)
+        g, v = component_loop(prob, x)
+        assert np.allclose(prob.aggregate_gradient(x), g, atol=1e-14)
+        assert prob.aggregate_value(x) == pytest.approx(v, rel=1e-12)
+
+
+@pytest.mark.parametrize("m,q,n", [(20, 30, 4), (100, 30, 4), (1000, 10, 4),
+                                   (200, 10, 1)])
+def test_stacked_aggregate_is_bit_identical_to_agent_loop(m, q, n):
+    prob = harness.gaussian_logistic_instance(m, q, n=n, seed=3)
+    rng = np.random.default_rng(m)
+    for _ in range(40):
+        x = rng.standard_normal(n) * 10.0 ** rng.uniform(-8, 1)
+        g, v = closure_loop(prob, x)
+        assert np.array_equal(prob.aggregate_gradient(x), g)
+        assert prob.aggregate_value(x) == v
+
+
+def test_stacked_aggregate_uneven_q():
+    rng = np.random.default_rng(13)
+    sizes = [3, 200, 17, 64, 5, 128, 3]
+    prob = objectives.ProblemInstance(locals=[
+        objectives.make_logistic_local(rng.standard_normal((q, 4)),
+                                       rng.choice([-1, 1], size=q),
+                                       lam=1.0, m=len(sizes))
+        for q in sizes])
+    assert (prob.q_min, prob.q_max) == (3, 200)
+    for _ in range(40):
+        x = 3.0 * rng.standard_normal(4)
+        for loop in (closure_loop, component_loop):
+            g, v = loop(prob, x)
+            got = prob.aggregate_gradient(x)
+            assert np.abs(got - g).max() <= 1e-12 * max(1.0, np.abs(g).max())
+            assert prob.aggregate_value(x) == pytest.approx(v, rel=1e-12)
+
+
+def test_aggregate_of_other_agents_sums_agent_by_agent():
+    rng = np.random.default_rng(4)
+    quad = quadratic_family(1, 3, 3, (1.0, 2.0), seed=1).locals[0]
+    logi = objectives.make_logistic_local(rng.standard_normal((4, 3)),
+                                          [1, -1, 1, -1], lam=1.0, m=2)
+    # components whose q is not their agent's component count
+    odd = LocalObjective(components=[
+        LogisticSample(c=rng.standard_normal(3), label=1, lam=1.0, m=2, q=1)
+        for _ in range(3)])
+    for locals_ in ([quad, logi], [logi, odd]):
+        prob = objectives.ProblemInstance(locals=locals_)
+        for _ in range(5):
+            x = rng.standard_normal(3)
+            g, v = component_loop(prob, x)
+            assert np.array_equal(prob.aggregate_gradient(x), g)
+            assert prob.aggregate_value(x) == v
 
 
 def test_dimension_mismatch_rejected():
