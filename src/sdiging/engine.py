@@ -22,7 +22,7 @@ from sdiging.errors import (
     DivergenceError,
     InvalidArgumentError,
 )
-from sdiging.graph import MixingMatrix, spectral_quantities
+from sdiging.graph import MixingMatrix
 from sdiging.objectives import ProblemInstance
 from sdiging.saga import GradientTables
 
@@ -221,8 +221,7 @@ def rate_certificate(w: MixingMatrix, mu: float, lip: float,
         return invalid("empty interval for parameter c")
     c = math.sqrt(c_lo * c_hi)
 
-    spec = spectral_quantities(w)
-    rho2_l2 = spec.rho2_l2
+    rho2_l2 = w.rho2_l ** 2
     eig = w.eig_w
     rho_max_q = float(np.max((1.0 + 3.0 * eig) * (1.0 - eig))) \
         + alpha * (2.0 * mu - phi)

@@ -1,20 +1,21 @@
 """Undirected topologies, doubly stochastic mixing matrices, spectral data.
 
 Agents are numbered 1..m in topologies and edge-list files; matrices are
-0-indexed numpy arrays.  All spectral quantities are computed once at
-construction and cached on the returned objects.
+0-indexed numpy arrays.  Each mixing matrix's spectrum is computed once,
+at construction; every spectral quantity is read from it.
 """
 
 from __future__ import annotations
 
 import io
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from sdiging.errors import ConstructionFailure, InvalidArgumentError
 
-# Relative tolerance for classifying an eigenvalue of L as zero.
+# Relative tolerance, against the spectral radius, for classifying an
+# eigenvalue of W or L as zero (W's spectral radius is 1).
 _ZERO_EIG_RTOL = 1e-9
 
 # Lazy-blend levels tried, in order, when the raw spectrum is not positive.
@@ -33,11 +34,7 @@ class Topology:
 
     def degrees(self):
         """Degree of each agent as an int array indexed 0..m-1."""
-        deg = np.zeros(self.m, dtype=int)
-        for i, j in self.edges:
-            deg[i - 1] += 1
-            deg[j - 1] += 1
-        return deg
+        return np.bincount(_edge_array(self.edges).ravel(), minlength=self.m)
 
     def to_edge_list_text(self) -> str:
         """Serialize as: first line ``m``, then one ``i j`` line per edge."""
@@ -81,6 +78,21 @@ class MixingMatrix:
     def rho_min(self) -> float:
         return float(self.eig_w[0])
 
+    @property
+    def rho2_l(self) -> float:
+        """Second-smallest eigenvalue of L = I - W, from eig(L) = 1 - eig(W).
+
+        A connected graph gives L exactly one zero eigenvalue (relative
+        tolerance 1e-9 against L's spectral radius); anything else raises.
+        """
+        eig_l = 1.0 - self.eig_w[::-1]          # ascending
+        radius = max(abs(eig_l[0]), abs(eig_l[-1]), 1.0)
+        n_zero = int(np.sum(np.abs(eig_l) <= _ZERO_EIG_RTOL * radius))
+        if n_zero != 1:
+            raise InvalidArgumentError(
+                f"expected exactly one zero eigenvalue of L, found {n_zero}")
+        return float(eig_l[1])
+
     def to_csv(self) -> str:
         """Row-major CSV with 17 significant digits."""
         buf = io.StringIO()
@@ -88,17 +100,9 @@ class MixingMatrix:
         return buf.getvalue()
 
 
-@dataclass(frozen=True)
-class LaplacianLike:
-    """L = I - W with the spectral gap quantities the rate bounds consume."""
-
-    l: np.ndarray
-    eig_l: np.ndarray          # sorted ascending; eig_l[0] ~ 0
-    rho2_l: float              # second-smallest eigenvalue of L
-    rho2_l2: float = field(init=False)
-
-    def __post_init__(self):
-        object.__setattr__(self, "rho2_l2", self.rho2_l ** 2)
+def _edge_array(edges) -> np.ndarray:
+    """The edges as a (k, 2) array of 0-based agent indices."""
+    return np.array(list(edges), dtype=int).reshape(-1, 2) - 1
 
 
 class _UnionFind:
@@ -176,7 +180,8 @@ def metropolis_weights(t: Topology, laziness: float = 0.1) -> MixingMatrix:
     ``laziness * I + (1 - laziness) * W_raw``.  If the blend still has a
     non-positive eigenvalue, laziness is raised through 0.1, 0.2, ..., 0.5
     until the spectrum is strictly positive; the level used is recorded on
-    the result.
+    the result.  An eigenvalue within 1e-9 of zero counts as zero, so that
+    rounding noise about an exact zero cannot decide the level.
     """
     if not (0.0 <= laziness < 1.0):
         raise InvalidArgumentError(f"laziness must be in [0, 1), got {laziness}")
@@ -185,36 +190,18 @@ def metropolis_weights(t: Topology, laziness: float = 0.1) -> MixingMatrix:
 
     m = t.m
     deg = t.degrees()
+    i, j = _edge_array(t.edges).T
     w_raw = np.zeros((m, m))
-    for i, j in t.edges:
-        wij = 1.0 / (1.0 + max(deg[i - 1], deg[j - 1]))
-        w_raw[i - 1, j - 1] = wij
-        w_raw[j - 1, i - 1] = wij
+    w_raw[i, j] = w_raw[j, i] = 1.0 / (1.0 + np.maximum(deg[i], deg[j]))
     np.fill_diagonal(w_raw, 1.0 - w_raw.sum(axis=1))
 
+    # The blend's spectrum is lz + (1 - lz) * eig(W_raw), in the same order,
+    # so one decomposition serves every laziness level.
+    eig_raw = np.linalg.eigvalsh(w_raw)
     candidates = [laziness] + [lz for lz in _LAZINESS_LADDER if lz > laziness]
     for lz in candidates:
-        w = lz * np.eye(m) + (1.0 - lz) * w_raw
-        eig = np.linalg.eigvalsh(w)
-        if eig[0] > 0.0:
+        eig = lz + (1.0 - lz) * eig_raw
+        if eig[0] > _ZERO_EIG_RTOL:
+            w = lz * np.eye(m) + (1.0 - lz) * w_raw
             return MixingMatrix(w=w, eig_w=eig, laziness=lz, topology=t)
     raise ConstructionFailure("could not make the spectrum positive by laziness 0.5")
-
-
-def spectral_quantities(w: MixingMatrix) -> LaplacianLike:
-    """L = I - W together with its spectral gap.
-
-    The smallest nonzero eigenvalue of L is classified with a relative
-    tolerance of 1e-9 against the spectral radius; a connected graph yields
-    exactly one zero eigenvalue.
-    """
-    m = w.m
-    lmat = np.eye(m) - w.w
-    eig_l = np.linalg.eigvalsh(lmat)
-    radius = max(abs(eig_l[0]), abs(eig_l[-1]), 1.0)
-    n_zero = int(np.sum(np.abs(eig_l) <= _ZERO_EIG_RTOL * radius))
-    if n_zero != 1:
-        raise InvalidArgumentError(
-            f"expected exactly one zero eigenvalue of L, found {n_zero}"
-        )
-    return LaplacianLike(l=lmat, eig_l=eig_l, rho2_l=float(eig_l[1]))

@@ -139,6 +139,10 @@ def kmeans_instance(points: np.ndarray | None = None, m: int = 5, q_i: int = 30,
 
 @dataclass
 class ReferenceSolution:
+    """A centralized optimum; ``oracle_calls`` counts aggregate gradient and
+    value evaluations, and for k-means one per Lloyd sweep (a pass over all
+    points, like one aggregate gradient) plus the final gradient."""
+
     x: np.ndarray
     grad_norm: float
     certified: bool = True
@@ -195,9 +199,11 @@ def _lloyd_reference(problem: ProblemInstance, restarts: int = 10,
     n = pts.shape[1]
     rng = np.random.default_rng([seed & 0xFFFFFFFFFFFFFFFF, 0x11D])
     best_obj, best_centers = np.inf, None
+    sweeps = 0
     for _ in range(restarts):
         centers = pts[rng.choice(pts.shape[0], size=k, replace=False)].copy()
         for _ in range(200):
+            sweeps += 1
             d2 = ((pts[:, None, :] - centers[None, :, :]) ** 2).sum(axis=2)
             assign = d2.argmin(axis=1)
             new_centers = centers.copy()
@@ -215,7 +221,8 @@ def _lloyd_reference(problem: ProblemInstance, restarts: int = 10,
             best_obj, best_centers = obj, centers
     x = best_centers.reshape(k * n)
     gnorm = float(np.linalg.norm(problem.aggregate_gradient(x)))
-    return ReferenceSolution(x=x, grad_norm=gnorm, certified=False)
+    return ReferenceSolution(x=x, grad_norm=gnorm, certified=False,
+                             oracle_calls=sweeps + 1)
 
 
 def reference_solution(problem: ProblemInstance, seed: int = 0,
@@ -518,12 +525,13 @@ def compare_algorithms(cfg: ExperimentConfig, algorithms, target: float,
     w = build_mixing(cfg)
     problem = build_problem(cfg)
     ref = reference_solution(problem, seed=cfg.problem_seed)
-    rows = []
     for name in algorithms:
         if name not in engine.ALGORITHMS:
             raise ConfigError(f"unknown algorithm {name!r}")
-        alpha = cfg.alpha if cfg.alpha != "auto" else \
-            resolve_alpha(cfg, w, problem)[0]
+    alpha = cfg.alpha if cfg.alpha != "auto" else \
+        resolve_alpha(cfg, w, problem)[0]
+    rows = []
+    for name in algorithms:
         trace, _ = engine.run(name, problem, w, float(alpha), cfg.rounds,
                               seed=cfg.run_seed, record_every=record_every,
                               reference=ref.x)

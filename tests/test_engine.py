@@ -194,19 +194,19 @@ def test_certificate_terms_rederived():
     assert c_lo < c < c_hi
     assert c == pytest.approx(math.sqrt(c_lo * c_hi), rel=1e-12)
 
-    spec = graph.spectral_quantities(w)
+    rho2_l2 = w.rho2_l ** 2
     eig = w.eig_w
     rho_max_q = max((1 + 3 * r) * (1 - r) for r in eig) \
         + alpha * (2 * mu - phi)
     ww1 = max(r * (r - 1) for r in eig)
     t1 = (w.rho_min ** 2 - alpha * (eta + lip ** 2 / phi)) \
-        / ((1 / spec.rho2_l2) * (d / (d - 1)) * e)
+        / ((1 / rho2_l2) * (d / (d - 1)) * e)
     t2 = ((1 - gamma) * alpha * (2 * mu - phi)) \
-        / (1 + gamma * rho_max_q + (4 / spec.rho2_l2) * d * ww1 ** 2)
+        / (1 + gamma * rho_max_q + (4 / rho2_l2) * d * ww1 ** 2)
     t3 = (gamma * alpha * (2 * mu - phi) - alpha * (2 * lip - mu) * lip / eta
           - c * lip / (2 * q_min)) \
         / ((c / q_min) * (lip / 2)
-           + (1 / spec.rho2_l2) * (d / (d - 1)) * (e / (e - 1))
+           + (1 / rho2_l2) * (d / (d - 1)) * (e / (e - 1))
            * alpha ** 2 * (2 * lip - mu) * lip)
     assert cert.theta == pytest.approx(min(t1, t2, t3), rel=1e-12)
     assert 0.0 < cert.delta < cert.theta

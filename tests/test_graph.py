@@ -165,10 +165,9 @@ def test_spectral_m2_analytic():
     w_half = np.full((2, 2), 0.5)
     w = graph.MixingMatrix(w=w_half, eig_w=np.linalg.eigvalsh(w_half),
                            laziness=0.0, topology=t)
-    spec = graph.spectral_quantities(w)
-    assert np.allclose(np.sort(np.linalg.eigvalsh(spec.l)), [0.0, 1.0],
+    assert np.allclose(np.linalg.eigvalsh(np.eye(2) - w.w), [0.0, 1.0],
                        atol=1e-14)
-    assert spec.rho2_l2 == pytest.approx(1.0, abs=1e-14)
+    assert w.rho2_l ** 2 == pytest.approx(1.0, abs=1e-14)
 
 
 def test_spectral_ring4_charpoly_oracle():
@@ -176,23 +175,96 @@ def test_spectral_ring4_charpoly_oracle():
     # of L = I - W via np.poly / np.roots.
     t = graph.build_topology("ring", 4, seed=0)
     w = graph.metropolis_weights(t)
-    spec = graph.spectral_quantities(w)
-    roots = np.sort(np.real(np.roots(np.poly(spec.l))))
+    roots = np.sort(np.real(np.roots(np.poly(np.eye(4) - w.w))))
     assert abs(roots[0]) < 1e-9
-    assert spec.rho2_l == pytest.approx(roots[1], abs=1e-9)
-    assert spec.rho2_l2 == pytest.approx(roots[1] ** 2, rel=1e-8)
+    assert w.rho2_l == pytest.approx(roots[1], abs=1e-9)
+    assert w.rho2_l ** 2 == pytest.approx(roots[1] ** 2, rel=1e-8)
 
 
 def test_spectral_gap_probe_inequality():
     # x'Lx >= rho2(L) * ||x - mean(x) 1||^2 on random probes.
     t = graph.build_topology("random_gnp", 10, p=0.4, seed=3)
     w = graph.metropolis_weights(t)
-    spec = graph.spectral_quantities(w)
+    lmat = np.eye(10) - w.w
     rng = np.random.default_rng(0)
     for _ in range(100):
         x = rng.standard_normal(10)
         centered = x - x.mean()
-        assert x @ spec.l @ x >= spec.rho2_l * (centered @ centered) - 1e-9
+        assert x @ lmat @ x >= w.rho2_l * (centered @ centered) - 1e-9
+
+
+def test_rho2_rejects_two_zero_laplacian_eigenvalues():
+    # Two disconnected halves: W has eigenvalue 1 twice, so L has two zeros.
+    half = np.full((2, 2), 0.5)
+    w_two = np.block([[half, np.zeros((2, 2))], [np.zeros((2, 2)), half]])
+    t = graph.Topology(m=4, edges=frozenset({(1, 2), (3, 4)}))
+    w = graph.MixingMatrix(w=w_two, eig_w=np.linalg.eigvalsh(w_two),
+                           laziness=0.0, topology=t)
+    with pytest.raises(InvalidArgumentError):
+        w.rho2_l
+
+
+def reference_metropolis(t, laziness):
+    """Per-edge weights, and one full decomposition of each blend tried."""
+    m = t.m
+    deg = [0] * m
+    for i, j in t.edges:
+        deg[i - 1] += 1
+        deg[j - 1] += 1
+    w_raw = np.zeros((m, m))
+    for i, j in t.edges:
+        wij = 1.0 / (1.0 + max(deg[i - 1], deg[j - 1]))
+        w_raw[i - 1, j - 1] = wij
+        w_raw[j - 1, i - 1] = wij
+    np.fill_diagonal(w_raw, 1.0 - w_raw.sum(axis=1))
+    for lz in [laziness] + [z for z in (0.1, 0.2, 0.3, 0.4, 0.5) if z > laziness]:
+        w = lz * np.eye(m) + (1.0 - lz) * w_raw
+        if np.linalg.eigvalsh(w)[0] > 1e-9:
+            return w, lz, deg
+    raise AssertionError("no positive blend")
+
+
+@pytest.mark.parametrize("kind, m, p, seed", [
+    ("ring", 2, None, 0), ("ring", 4, None, 0), ("ring", 9, None, 0),
+    ("ring", 20, None, 0), ("complete", 3, None, 0), ("complete", 7, None, 0),
+    ("random_gnp", 20, 0.4, 3), ("random_gnp", 50, 0.1, 1),
+    ("random_gnp", 5, 0.5, 6), ("random_gnp", 1000, 0.02, 3)])
+def test_metropolis_matches_per_edge_reference(kind, m, p, seed):
+    t = graph.build_topology(kind, m, p=p, seed=seed)
+    for laziness in ((0.0, 0.1, 0.25) if m < 1000 else (0.1,)):
+        w = graph.metropolis_weights(t, laziness=laziness)
+        w_ref, lz_ref, deg_ref = reference_metropolis(t, laziness)
+        assert list(t.degrees()) == deg_ref
+        assert np.array_equal(w.w, w_ref)
+        assert w.laziness == lz_ref
+        assert np.abs(w.eig_w - np.linalg.eigvalsh(w.w)).max() < 1e-13
+        rho2_ref = np.linalg.eigvalsh(np.eye(m) - w.w)[1]
+        assert abs(w.rho2_l - rho2_ref) < 1e-12
+
+
+@pytest.mark.parametrize("kind, m, p, seed, laziness, lifted_to", [
+    ("complete", 3, None, 0, 0.0, 0.1), ("ring", 10, None, 0, 0.25, 0.3),
+    ("random_gnp", 5, 0.5, 6, 0.1, 0.3)])
+def test_exact_zero_eigenvalue_lifts_laziness(kind, m, p, seed, laziness,
+                                              lifted_to):
+    # Each blend has an exact zero eigenvalue (G(5, 0.5) seed 6 has raw
+    # eigenvalue -1/4, so the 0.2 blend does); rounding noise of either sign
+    # about that zero must not count as a positive spectrum.
+    t = graph.build_topology(kind, m, p=p, seed=seed)
+    w = graph.metropolis_weights(t, laziness=laziness)
+    assert w.laziness == lifted_to
+    assert w.rho_min > 1e-3
+
+
+def test_metropolis_decomposes_once(monkeypatch):
+    # ring(4) climbs the ladder from 0.0 to 0.3 on one decomposition.
+    calls = []
+    eigvalsh = np.linalg.eigvalsh
+    monkeypatch.setattr(np.linalg, "eigvalsh",
+                        lambda a: calls.append(1) or eigvalsh(a))
+    w = graph.metropolis_weights(graph.build_topology("ring", 4), laziness=0.0)
+    assert w.laziness == 0.3
+    assert len(calls) == 1
 
 
 def test_eigendecomposition_reconstruction():

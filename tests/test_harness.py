@@ -302,6 +302,18 @@ def test_run_experiment_records_reference_work(tmp_path):
     assert f"reference.oracle_calls = {calls}" in meta
 
 
+def test_run_experiment_records_kmeans_reference_work(tmp_path):
+    # The Lloyd reference counts one call per sweep plus its final gradient.
+    text = GOOD_CONFIG.replace("family = quadratic\nq = 3\nn = 2",
+                               "family = kmeans\nq = 6\nclusters = 2")
+    result = harness.run_experiment(harness.parse_config(
+        write_config(tmp_path, text=text)))
+    calls = result.reference.oracle_calls
+    assert calls > 0
+    assert f"reference.oracle_calls = {calls}" in \
+        result.meta_path.read_text().splitlines()
+
+
 def test_run_experiment_auto_alpha(tmp_path):
     text = GOOD_CONFIG.replace("alpha = 0.01", "alpha = auto")
     cfg = harness.parse_config(write_config(tmp_path, text=text))
@@ -332,3 +344,25 @@ def test_compare_algorithms_rows(tmp_path):
     # the stochastic one, so evals-to-target must favor sdiging here
     assert by_name["sdiging"].evals_to_target \
         < by_name["diging"].evals_to_target
+
+
+def test_compare_resolves_auto_alpha_once(tmp_path, monkeypatch):
+    calls = []
+    certify = engine.certificate_for_problem
+    monkeypatch.setattr(engine, "certificate_for_problem",
+                        lambda *a, **k: calls.append(1) or certify(*a, **k))
+    text = GOOD_CONFIG.replace("alpha = 0.01", "alpha = auto")
+    cfg = harness.parse_config(write_config(tmp_path, text=text))
+    cfg.rounds = 20
+    rows = harness.compare_algorithms(cfg, list(engine.ALGORITHMS), target=-3.0)
+    assert [r.algorithm for r in rows] == list(engine.ALGORITHMS)
+    assert len(calls) == 1
+
+
+def test_compare_rejects_unknown_algorithm_before_running(tmp_path, monkeypatch):
+    runs = []
+    monkeypatch.setattr(engine, "run", lambda *a, **k: runs.append(1))
+    cfg = harness.parse_config(write_config(tmp_path))
+    with pytest.raises(ConfigError, match="bogus"):
+        harness.compare_algorithms(cfg, ["diging", "bogus"], target=-3.0)
+    assert runs == []

@@ -21,9 +21,7 @@ def test_mixing_matrix_invariants(m, p, seed):
     assert np.abs(w.w - w.w.T).max() == 0.0
     assert w.rho_min > 0.0
     assert abs(w.eig_w[-1] - 1.0) < 1e-12
-    spec = graph.spectral_quantities(w)
-    assert np.abs(spec.l @ ones).max() < 1e-12
-    assert spec.rho2_l > 0.0
+    assert w.rho2_l > 0.0
 
 
 @settings(max_examples=30, deadline=None)
