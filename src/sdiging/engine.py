@@ -100,7 +100,7 @@ def step(rule: str, s: NetworkState, w: MixingMatrix, problem: ProblemInstance,
     if s.x.shape != (w.m, problem.dim) or \
             (tables is not None and len(tables) != problem.m):
         raise InvalidArgumentError("state/tables/problem dimensions disagree")
-    mix = w.w
+    mix = w.operator
     if dual:
         # W^2 x - alpha g - (I - W) lam, without forming W^2 or I - W
         x_new = mix @ (mix @ s.x) - alpha * s.g_prev - (s.lam - mix @ s.lam)

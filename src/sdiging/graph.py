@@ -2,13 +2,15 @@
 
 Agents are numbered 1..m in topologies and edge-list files; matrices are
 0-indexed numpy arrays.  Each mixing matrix's spectrum is computed once,
-at construction; every spectral quantity is read from it.
+at construction; every spectral quantity is read from it.  The operator
+the round multiplies by, dense or CSR, is derived once, on first use.
 """
 
 from __future__ import annotations
 
 import io
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -73,6 +75,16 @@ class MixingMatrix:
     @property
     def m(self) -> int:
         return self.w.shape[0]
+
+    @cached_property
+    def operator(self):
+        """What the round multiplies by: ``w`` itself, or a CSR copy of it
+        when the graph is large and sparse (both give an ndarray from ``@``)."""
+        # CSR iff m >= 200 and nnz <= m^2/20: the measured W@X crossover at n=4
+        if self.m >= 200 and 20 * np.count_nonzero(self.w) <= self.m ** 2:
+            from scipy.sparse import csr_array
+            return csr_array(self.w)
+        return self.w
 
     @property
     def rho_min(self) -> float:
@@ -202,6 +214,8 @@ def metropolis_weights(t: Topology, laziness: float = 0.1) -> MixingMatrix:
     for lz in candidates:
         eig = lz + (1.0 - lz) * eig_raw
         if eig[0] > _ZERO_EIG_RTOL:
-            w = lz * np.eye(m) + (1.0 - lz) * w_raw
+            w = w_raw                       # blended in place, bit-identical
+            w *= 1.0 - lz                   # to lz * I + (1 - lz) * w_raw
+            w[np.diag_indices(m)] += lz
             return MixingMatrix(w=w, eig_w=eig, laziness=lz, topology=t)
     raise ConstructionFailure("could not make the spectrum positive by laziness 0.5")

@@ -445,6 +445,7 @@ def _write_metadata(path: Path, cfg: ExperimentConfig, w: graph.MixingMatrix,
         lines.append(f"config.{key} = {val}")
     lines.append(f"resolved.alpha = {alpha}")
     lines.append(f"resolved.laziness = {w.laziness}")
+    lines.append(f"resolved.mixing = {'dense' if w.operator is w.w else 'csr'}")
     lines.append(f"resolved.gnp_retries = {w.topology.retries}")
     lines.append(f"problem.mu = {problem.mu}")
     lines.append(f"problem.lip = {problem.lip}")
@@ -522,12 +523,12 @@ class CompareRow:
 def compare_algorithms(cfg: ExperimentConfig, algorithms, target: float,
                        record_every: int = 1) -> list[CompareRow]:
     """Run each algorithm on one shared instance; report cost to a residual."""
-    w = build_mixing(cfg)
-    problem = build_problem(cfg)
-    ref = reference_solution(problem, seed=cfg.problem_seed)
     for name in algorithms:
         if name not in engine.ALGORITHMS:
             raise ConfigError(f"unknown algorithm {name!r}")
+    w = build_mixing(cfg)
+    problem = build_problem(cfg)
+    ref = reference_solution(problem, seed=cfg.problem_seed)
     alpha = cfg.alpha if cfg.alpha != "auto" else \
         resolve_alpha(cfg, w, problem)[0]
     rows = []

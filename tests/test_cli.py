@@ -179,6 +179,48 @@ def test_seed_override_changes_everything(tmp_path):
     assert a != b
 
 
+VA2_CONFIG = """\
+[problem]
+family = gaussian_logistic
+q = 30
+n = 4
+seed = 3
+
+[topology]
+kind = random_gnp
+m = 20
+p = 0.4
+seed = 3
+
+[algorithm]
+name = sdiging
+alpha = 0.02
+rounds = 200
+seed = 11
+"""
+
+
+@pytest.mark.parametrize("replace, sparse", [
+    ({}, False),
+    ({"family = gaussian_logistic\nq = 30\nn = 4":
+      "family = quadratic\nq = 3\nn = 2",
+      "kind = random_gnp\nm = 20\np = 0.4": "kind = ring\nm = 200"}, True)],
+    ids=["va2", "ring200"])
+def test_scipy_sparse_imported_only_for_csr_mixing(tmp_path, replace, sparse):
+    # a fresh interpreter, so that no other test's import counts
+    text = VA2_CONFIG
+    for old, new in replace.items():
+        text = text.replace(old, new)
+    config = tmp_path / "run.ini"
+    config.write_text(text)
+    code = ("import sys; from sdiging import cli; "
+            "rc = cli.main(sys.argv[1:]); print(rc, 'scipy.sparse' in sys.modules)")
+    proc = subprocess.run(
+        [sys.executable, "-c", code, "--quiet", "--output-dir", str(tmp_path),
+         "run", str(config)], capture_output=True, text=True)
+    assert proc.stdout.split() == ["0", str(sparse)], proc.stderr
+
+
 def test_console_script_entry_point(tmp_path):
     proc = subprocess.run(
         [sys.executable, "-m", "sdiging.cli", "certify",

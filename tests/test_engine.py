@@ -415,6 +415,42 @@ def test_run_matches_per_agent_reference(family, rule):
         assert np.abs(a - b).max() <= 1e-12 * max(1.0, np.abs(b).max())
 
 
+@pytest.mark.parametrize("rule, products", [
+    ("diging", 2), ("sdiging", 2), ("primal_dual", 4)])
+def test_step_mixes_only_through_the_operator(rule, products):
+    class Counting:
+        def __init__(self, a):
+            self.a, self.calls = a, 0
+
+        def __matmul__(self, x):
+            self.calls += 1
+            return self.a @ x
+
+    prob = quadratic_family(5, 3, 2, (1.0, 2.0), seed=2)
+    w = mixing("complete", 5)
+    w.__dict__["operator"] = op = Counting(w.w)
+    engine.run(rule, prob, w, 0.01, 3, seed=0)
+    assert op.calls == 3 * products
+
+
+def test_csr_round_matches_dense_loop_at_m1000():
+    # G(1000, 0.02) mixes through CSR; the reference loop multiplies by the
+    # dense W, so the two differ only in the summation order of W @ X.
+    prob = harness.gaussian_logistic_instance(1000, 2, n=4, seed=3)
+    w = mixing("random_gnp", 1000, p=0.02, seed=3)
+    assert not isinstance(w.operator, np.ndarray)
+    finals = {}
+    for rule in engine.ALGORITHMS:
+        _, state = engine.run(rule, prob, w, 0.02, 60, seed=11)
+        x, tracker, g = reference_run(rule, prob, w, 0.02, 60, seed=11)
+        got = (state.x, state.lam if rule == "primal_dual" else state.y,
+               state.g_prev)
+        for a, b in zip(got, (x, tracker, g)):
+            assert np.abs(a - b).max() <= 1e-12 * max(1.0, np.abs(b).max())
+        finals[rule] = state.x
+    assert np.abs(finals["sdiging"] - finals["primal_dual"]).max() < 1e-12
+
+
 def test_mixed_component_classes_rejected():
     from sdiging.objectives import DiskDistance
     quad = quadratic_family(1, 1, 2, (1.0, 2.0), seed=0).locals[0]

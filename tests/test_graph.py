@@ -267,6 +267,35 @@ def test_metropolis_decomposes_once(monkeypatch):
     assert len(calls) == 1
 
 
+@pytest.mark.parametrize("kind, m, p, seed, csr", [
+    ("random_gnp", 20, 0.4, 3, False),      # va2, 43% nonzero
+    ("random_gnp", 10, 0.4, 9, False),      # localization compare
+    ("random_gnp", 200, 0.1, 3, False),     # 10.7% nonzero
+    ("random_gnp", 1000, 0.02, 3, True),    # 2.1% nonzero
+    ("ring", 1000, None, 0, True)])
+def test_operator_is_csr_only_when_large_and_sparse(kind, m, p, seed, csr):
+    w = graph.metropolis_weights(graph.build_topology(kind, m, p=p, seed=seed))
+    assert w.operator is w.operator             # built once per matrix
+    if not csr:
+        assert w.operator is w.w
+        return
+    from scipy.sparse import csr_array
+    assert isinstance(w.operator, csr_array)
+    assert np.array_equal(w.operator.toarray(), w.w)
+    assert w.operator.nnz == np.count_nonzero(w.w)
+
+
+@pytest.mark.parametrize("m, nnz, csr", [
+    (199, 199, False), (200, 2000, True), (200, 2001, False)])
+def test_operator_rule_boundary(m, nnz, csr):
+    # CSR iff m >= 200 and nnz <= m^2/20; only the pattern of w matters
+    a = np.zeros(m * m)
+    a[:nnz] = 1.0
+    w = graph.MixingMatrix(w=a.reshape(m, m), eig_w=np.ones(m), laziness=0.0,
+                           topology=graph.Topology(m=m, edges=frozenset()))
+    assert (w.operator is not w.w) == csr
+
+
 def test_eigendecomposition_reconstruction():
     t = graph.build_topology("random_gnp", 8, p=0.5, seed=9)
     w = graph.metropolis_weights(t)

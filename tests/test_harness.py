@@ -291,6 +291,21 @@ def test_run_experiment_records_resolved_graph(tmp_path):
     assert "resolved.gnp_retries = 2" in meta
 
 
+@pytest.mark.parametrize("problem, topology, fmt", [
+    ("family = gaussian_logistic\nq = 30\nn = 4\nseed = 3",         # va2
+     "kind = random_gnp\nm = 20\np = 0.4\nseed = 3", "dense"),
+    ("family = quadratic\nq = 3\nn = 2\nseed = 1",
+     "kind = ring\nm = 200\nseed = 2", "csr")], ids=["va2", "ring200"])
+def test_run_experiment_records_mixing_format(tmp_path, problem, topology,
+                                              fmt):
+    text = GOOD_CONFIG.replace("family = quadratic\nq = 3\nn = 2\nseed = 1",
+                               problem) \
+        .replace("kind = ring\nm = 4\nseed = 2", topology)
+    meta = harness.run_experiment(harness.parse_config(
+        write_config(tmp_path, text=text))).meta_path.read_text().splitlines()
+    assert f"resolved.mixing = {fmt}" in meta
+
+
 def test_run_experiment_records_reference_work(tmp_path):
     text = GOOD_CONFIG.replace("family = quadratic\nq = 3\nn = 2",
                                "family = gaussian_logistic\nq = 6\nn = 3")
@@ -363,6 +378,10 @@ def test_compare_rejects_unknown_algorithm_before_running(tmp_path, monkeypatch)
     runs = []
     monkeypatch.setattr(engine, "run", lambda *a, **k: runs.append(1))
     cfg = harness.parse_config(write_config(tmp_path))
+    monkeypatch.setattr(harness, "build_mixing",
+                        lambda *a, **k: runs.append("build_mixing"))
+    monkeypatch.setattr(harness, "reference_solution",
+                        lambda *a, **k: runs.append("reference_solution"))
     with pytest.raises(ConfigError, match="bogus"):
         harness.compare_algorithms(cfg, ["diging", "bogus"], target=-3.0)
     assert runs == []
