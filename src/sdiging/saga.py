@@ -9,20 +9,132 @@ estimator is unbiased conditional on the table state.
 All agents' tables are stacked in one ``GradientTables`` so that a
 synchronous round updates every agent at once; a ``GradientTable`` is one
 agent's row of it, which is what a checkpoint holds.
+
+Agent i's component indices are, bit for bit, the draws of
+``Generator(Philox(key=(seed, agent_i))).integers(1, q_i + 1)``, so a run
+replays identically and a checkpoint restores by counting draws.
+``IndexStreams`` produces them for all agents at once without a
+``Generator``: Philox is counter-based, so each agent's bare bit generator
+is read as raw 64-bit words, each word is split into two 32-bit words, low
+half first, and every word is bounded by Lemire's rule, which is what
+numpy's bounded draw does.  A word w gives the index
+(w*q >> 32) + 1 unless (w*q) mod 2**32 is below (2**32 - q) mod q, in which
+case it is dropped and the next word is tried; an agent with q = 1 reads no
+words.
 """
 
 from __future__ import annotations
 
 import numpy as np
+from numpy.random.bit_generator import ISeedSequence
 
 from sdiging.errors import InvalidArgumentError
 
 _DUMP_HEADER = "sdiging-table-v1"
 
-# Index draws fetched per refill of an agent's stream.  Philox's
-# integers(1, q+1, size=B) yields the same values as B single draws, so the
-# block size changes no stream and no checkpoint.
+# Draws per agent produced by one refill of the index streams.  Draws are a
+# pure function of each stream's position, so the block size changes no
+# stream and no checkpoint; it only sets how often the per-agent raw reads
+# run (once per BLOCK rounds).
 BLOCK = 64
+
+
+class _Key(ISeedSequence):
+    """Hands Philox its 128-bit key as given.
+
+    ``Philox(key=...)`` gives the same stream but first builds, and then
+    discards, an OS-entropy ``SeedSequence``, which costs more than the bit
+    generator itself.
+    """
+
+    def __init__(self, key: np.ndarray):
+        self._key = key
+
+    def generate_state(self, n_words, dtype=np.uint32):
+        return self._key
+
+
+class IndexStreams:
+    """Component-index streams of m agents, keyed by (seed, agent id), with
+    the draws the module docstring describes; 1 <= q_i <= 2**32.
+
+    Every ``draw`` advances all streams together, so one counter ``drawn``
+    (draws used, not prefetched) also says which row of the current block
+    is next.  A stream is redone word by word only when its block dropped a
+    word or must start with the high half word the previous block left
+    unread (``_carry``), as numpy's bit generator keeps it.
+    """
+
+    def __init__(self, q, seed: int, agent_ids):
+        q = np.asarray(q, dtype=np.int64)
+        if np.any(q < 1) or np.any(q > 1 << 32):
+            raise InvalidArgumentError("every q_i must be in 1..2**32")
+        self.drawn = 0
+        self._q = q.astype(np.uint64)
+        self._cut = (np.uint64(1 << 32) - self._q) % self._q
+        self._philox = {i: np.random.Philox(_Key(np.array(
+            [seed, agent_ids[i]], dtype=np.uint64)))
+            for i in np.flatnonzero(q > 1).tolist()}
+        self._carry: dict[int, int] = {}
+        self._block = None
+
+    def draw(self) -> np.ndarray:
+        """One index per stream (read-only); advances every stream by one."""
+        k = self.drawn % BLOCK
+        if k == 0:
+            self._block = self._next_block()
+        self.drawn += 1
+        return self._block[k]
+
+    def replay(self, draws: int):
+        """Put fresh streams where ``draws`` draws leave them."""
+        for _ in range(-(-draws // BLOCK)):
+            self._block = self._next_block()
+        self.drawn = draws
+
+    def _next_block(self) -> np.ndarray:
+        """The next BLOCK draws of every stream: row k holds draw k of each.
+
+        Streams with q = 1 read no words; zero words give them index 1.
+        """
+        raw = np.zeros((len(self._q), BLOCK // 2), dtype="<u8")
+        for i, p in self._philox.items():
+            raw[i] = p.random_raw(BLOCK // 2)
+        words = raw.view("<u4")     # each raw word's low half, then its high
+        # (w*q) mod 2**32 by uint32 wrap-around (q = 2**32 wraps to 0, cut 0),
+        # before the block is allocated, to keep the peak memory down
+        low = (words * self._q.astype(np.uint32)[:, None]).min(axis=1)
+        dropped = np.flatnonzero(low < self._cut)
+        block = words.T.astype(np.uint64, order="C")
+        block *= self._q
+        block >>= 32
+        block = block.view(np.int64)
+        block += 1
+        for r in self._carry.keys() | set(dropped.tolist()):
+            block[:, r] = self._top_up(r, raw[r])
+        block.flags.writeable = False
+        return block
+
+    def _top_up(self, r: int, raw: np.ndarray) -> list:
+        """Stream r's block read one 32-bit word at a time: any carried half
+        word, then the words of ``raw``, then more raw words while drops
+        demand them."""
+        q, cut = int(self._q[r]), int(self._cut[r])
+        words = [self._carry.pop(r)] if r in self._carry else []
+        for w in raw.tolist():
+            words += [w & 0xFFFFFFFF, w >> 32]
+        drawn, used = [], 0
+        while len(drawn) < BLOCK:
+            if used == len(words):
+                w = int(self._philox[r].random_raw())
+                words += [w & 0xFFFFFFFF, w >> 32]
+            scaled = words[used] * q
+            used += 1
+            if scaled & 0xFFFFFFFF >= cut:
+                drawn.append((scaled >> 32) + 1)
+        if used < len(words):       # at most one: a high half word
+            self._carry[r] = words[used]
+        return drawn
 
 
 class GradientTables:
@@ -30,25 +142,23 @@ class GradientTables:
 
     ``grads`` is m x q_max x n: row i holds agent i's q_i stored gradients,
     then zero padding that is never drawn.  ``sums`` is the m x n running
-    sum.  Index draws come from one counter-based stream per agent, keyed by
-    (seed, agent id), so runs replay identically regardless of scheduling.
-    Each stream is read BLOCK draws at a time into ``_buf``; ``_pos`` is the
-    next unread entry and ``drawn`` counts the draws used, not prefetched.
+    sum.  ``streams`` draws one component index per agent and round; the
+    draws are exactly those of per-agent numpy Generators keyed by
+    (seed, agent id), so runs replay identically regardless of scheduling
+    and a checkpoint restores its stream from the draw count alone.
     """
 
     def __init__(self, grads: np.ndarray, q, seed: int, agent_ids):
         self.grads = grads
-        self.sums = grads.sum(axis=1)
         self.q = np.asarray(q, dtype=np.int64)
+        if np.any(self.q < 1) or np.any(self.q > grads.shape[1]):
+            raise InvalidArgumentError(
+                f"every q_i must be in 1..{grads.shape[1]} (the table's slots)")
+        self.sums = grads.sum(axis=1)
         self.seed = int(seed) & 0xFFFFFFFFFFFFFFFF
         self.agent_ids = [int(a) for a in agent_ids]
-        m = len(self.q)
-        self.drawn = np.zeros(m, dtype=np.int64)
-        self._rows = np.arange(m)
-        self._rngs = [np.random.Generator(np.random.Philox(
-            key=np.array([self.seed, a], dtype=np.uint64))) for a in self.agent_ids]
-        self._buf = np.zeros((m, BLOCK), dtype=np.int64)
-        self._pos = np.full(m, BLOCK)
+        self.streams = IndexStreams(self.q, self.seed, self.agent_ids)
+        self._rows = np.arange(len(self.q))
 
     def __len__(self) -> int:
         return len(self.q)
@@ -59,26 +169,10 @@ class GradientTables:
     def __iter__(self):
         return (GradientTable(self, i) for i in range(len(self)))
 
-    def _refill(self, i: int):
-        self._buf[i] = self._rngs[i].integers(1, self.q[i] + 1, size=BLOCK)
-        self._pos[i] = 0
-
-    def _replay(self, i: int, draws: int):
-        """Put agent i's stream where ``draws`` draws from a fresh one leave it."""
-        full, rest = divmod(draws, BLOCK)
-        for _ in range(full + (rest > 0)):
-            self._refill(i)
-        self._pos[i] = rest or BLOCK
-        self.drawn[i] = draws
-
     def draw(self) -> np.ndarray:
-        """One index in 1..q_i per agent; advances every stream by one draw."""
-        for i in np.flatnonzero(self._pos == BLOCK):
-            self._refill(i)
-        idx = self._buf[self._rows, self._pos]
-        self._pos += 1
-        self.drawn += 1
-        return idx
+        """One index in 1..q_i per agent (read-only); advances every stream
+        by one draw."""
+        return self.streams.draw()
 
     def update(self, idx: np.ndarray, fresh: np.ndarray) -> np.ndarray:
         """SAGA estimates (m x n) from fresh gradients of components ``idx``
@@ -121,7 +215,7 @@ class GradientTable:
 
     @property
     def draw_count(self) -> int:
-        return int(self._tables.drawn[self._row])
+        return self._tables.streams.drawn
 
 
 def dump_table(t: GradientTable) -> str:
@@ -150,5 +244,5 @@ def load_table(text: str, lo) -> GradientTables:
     t = GradientTables(np.array([[[float(v) for v in lines[2 + h].split(",")]
                                   for h in range(q)]]), [q], seed, [agent_id])
     t.sums[0] = [float(v) for v in lines[2 + q].split(",")]
-    t._replay(0, draws)
+    t.streams.replay(draws)
     return t

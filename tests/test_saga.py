@@ -247,3 +247,89 @@ def test_checkpoint_mid_block_of_engine_tables():
     ahead = np.stack([tables.draw() for _ in range(20)])
     for i, back in enumerate(restored):
         assert [draw(back) for _ in range(20)] == ahead[:, i].tolist()
+
+
+def generator_draws(seed, agent, q, n):
+    """The first n draws of integers(1, q + 1) from the agent's Generator,
+    and whether its bit generator holds a half word after each count."""
+    g = np.random.Generator(np.random.Philox(
+        key=np.array([seed, agent], dtype=np.uint64)))
+    draws, carries = [], [False]
+    for _ in range(n):
+        draws.append(int(g.integers(1, q + 1)))
+        carries.append(bool(g.bit_generator.state["has_uint32"]))
+    return draws, carries
+
+
+# q values at which Lemire's rule drops a sizeable share of 32-bit words
+REJECTING = [3 * 2 ** 30, 2 ** 31 + 12345, 2 ** 32 - 2 ** 26]
+
+
+@pytest.mark.parametrize("seed", [0, 77, 2 ** 63 + 5])
+@pytest.mark.parametrize("q", REJECTING + [2 ** 32 - 5, 2 ** 32])
+def test_streams_match_generator_where_lemire_rejects(q, seed):
+    # Lemire drops (2**32 - q) % q of the 2**32 possible words: a quarter at
+    # 3*2**30, almost half at 2**31+12345, 1/64 at 2**32-2**26, 5 words at
+    # 2**32-5, none at 2**32
+    n = 5 * saga.BLOCK + 9
+    streams = saga.IndexStreams([q, q], seed, [4, 11])
+    got = np.stack([streams.draw() for _ in range(n)])
+    for col, agent in enumerate((4, 11)):
+        expect, _ = generator_draws(seed, agent, q, n)
+        assert got[:, col].tolist() == expect
+        # the rejecting cases really drop words: reading the first n words
+        # without the rule gives a different stream
+        raw = np.random.Philox(key=np.array([seed, agent], dtype=np.uint64)
+                               ).random_raw(n)
+        words = np.stack([raw & 0xFFFFFFFF, raw >> 32], axis=1).ravel()[:n]
+        naive = [(int(w) * q >> 32) + 1 for w in words]
+        assert (naive != expect) == (q in REJECTING)
+
+
+@pytest.mark.parametrize("q", REJECTING)
+def test_replay_resumes_after_a_carried_half_word(q):
+    # after an odd number of 32-bit words the high half of the last raw word
+    # is left for the next block, as numpy's bit generator keeps it; at
+    # 2**32-2**26 a block that carries one in often drops no word itself
+    n = 6 * saga.BLOCK
+    counts = [saga.BLOCK * k + r for k in range(1, 6) for r in (0, 1, 37)]
+    carried = 0
+    for seed in (0, 77, 2 ** 63 + 5):
+        expect, carries = generator_draws(seed, 2, q, n)
+        for draws in counts:
+            streams = saga.IndexStreams([q], seed, [2])
+            streams.replay(draws)
+            assert streams.drawn == draws
+            assert [int(streams.draw()[0]) for _ in range(n - draws)] == \
+                expect[draws:]
+            carried += carries[draws] and draws % saga.BLOCK == 0
+    assert carried > 0
+
+
+def test_uneven_q_with_single_component_rows():
+    locs = [quad_local(q, 2, seed=20 + q) for q in (1, 7, 30, 1)]
+    prob = ProblemInstance(locals=locs)
+    n = 3 * saga.BLOCK
+    tables = engine.make_tables(prob, seed=41)
+    got = np.stack([tables.draw() for _ in range(n)])
+    for i, lo in enumerate(locs):
+        assert got[:, i].tolist() == generator_draws(41, i, lo.q, n)[0]
+    # checkpoint the q=1 row and a q=7 row mid-block; both continue exactly
+    tables = engine.make_tables(prob, seed=41)
+    mid = saga.BLOCK + saga.BLOCK // 2 + 3
+    for _ in range(mid):
+        tables.draw()
+    restored = [saga.load_table(saga.dump_table(tables[i]), locs[i])
+                for i in (0, 1)]
+    for i, back in zip((0, 1), restored):
+        assert saga.dump_table(back[0]) == saga.dump_table(tables[i])
+        assert [draw(back) for _ in range(n - mid)] == got[mid:, i].tolist()
+
+
+def test_q_outside_the_slots_or_the_word_range_is_rejected():
+    for q in ([3, 0], [3, 4], [-1, 2]):
+        with pytest.raises(InvalidArgumentError):
+            saga.GradientTables(np.zeros((2, 3, 2)), q, 0, [0, 1])
+    for q in ([0], [2 ** 32 + 1]):
+        with pytest.raises(InvalidArgumentError):
+            saga.IndexStreams(q, 0, [0])
