@@ -289,18 +289,38 @@ class RunTrace:
         return buf.getvalue()
 
 
+# Diagnostics are evaluated on stacks of at most this many floats of pending
+# iterates: a bound on the memory the stack takes, not a tuning knob.
+DIAGNOSTIC_FLOATS = 4096
+
+
+def _row_norms(d: np.ndarray) -> np.ndarray:
+    """Euclidean norms along the last axis, summed as np.linalg.norm sums
+    them for real input."""
+    return np.sqrt(np.add.reduce(d * d, axis=-1))
+
+
+def residuals_log10(xs: np.ndarray, x_star: np.ndarray) -> list:
+    """``residual_log10`` of every iterate of an R x m x n stack."""
+    mean_dist = np.add.reduce(_row_norms(xs - x_star), axis=-1) / xs.shape[1]
+    return [RESIDUAL_FLOOR if v == 0.0 else max(math.log10(v), RESIDUAL_FLOOR)
+            for v in mean_dist.tolist()]
+
+
+def consensus_gaps(xs: np.ndarray) -> list:
+    """``consensus_gap`` of every iterate of an R x m x n stack."""
+    center = np.add.reduce(xs, axis=1) / xs.shape[1]
+    return np.max(_row_norms(xs - center[:, None]), axis=-1).tolist()
+
+
 def residual_log10(x: np.ndarray, x_star: np.ndarray) -> float:
     """log10 of the mean agent distance to the reference, floored at -16."""
-    mean_dist = float(np.mean(np.linalg.norm(x - x_star[None, :], axis=1)))
-    if mean_dist == 0.0:
-        return RESIDUAL_FLOOR
-    return max(math.log10(mean_dist), RESIDUAL_FLOOR)
+    return residuals_log10(np.asarray(x, dtype=float)[None], x_star)[0]
 
 
 def consensus_gap(x: np.ndarray) -> float:
     """Largest deviation of any agent from the network average."""
-    center = x.mean(axis=0)
-    return float(np.max(np.linalg.norm(x - center, axis=1)))
+    return consensus_gaps(np.asarray(x, dtype=float)[None])[0]
 
 
 def run(algorithm: str, problem: ProblemInstance, w: MixingMatrix, alpha: float,
@@ -308,9 +328,19 @@ def run(algorithm: str, problem: ProblemInstance, w: MixingMatrix, alpha: float,
         reference: np.ndarray | None = None):
     """Execute synchronous rounds and collect a trace.
 
-    Returns ``(trace, final_state)``.  The residual column is NaN when no
-    reference optimum is supplied.  Raises DivergenceError (carrying the
-    partial trace) if an iterate norm passes the guard threshold.
+    Returns ``(trace, final_state)``.  Round 0, every ``record_every``-th
+    round and the last round are recorded; ``record_every`` defaults to
+    ``max(1, rounds // 2000)`` and must be at least 1.  The residual column
+    is NaN when no reference optimum is supplied.  Raises DivergenceError
+    (carrying the partial trace, which ends at the offending round) if an
+    iterate norm passes the guard threshold.
+
+    A record keeps the round, a reference to the iterate (``step`` returns
+    fresh arrays and never writes into one it returned), the eval count and
+    the wall time.  The residual and consensus gap of pending records are
+    evaluated together, once ``DIAGNOSTIC_FLOATS`` floats of iterates are
+    pending and when the run ends or diverges, with the same values
+    ``residual_log10`` and ``consensus_gap`` give one iterate at a time.
     """
     _check_rule(algorithm)
     if rounds < 1:
@@ -319,6 +349,8 @@ def run(algorithm: str, problem: ProblemInstance, w: MixingMatrix, alpha: float,
         raise InvalidArgumentError("mixing matrix and problem disagree on m")
     if record_every is None:
         record_every = max(1, rounds // 2000)
+    if record_every < 1:
+        raise InvalidArgumentError(f"need record_every >= 1, got {record_every}")
 
     tables = None if algorithm == "diging" else make_tables(problem, seed)
     state = init_state(algorithm, problem, tables)
@@ -327,16 +359,26 @@ def run(algorithm: str, problem: ProblemInstance, w: MixingMatrix, alpha: float,
     evals = per_round
 
     trace = RunTrace()
+    batch = max(1, DIAGNOSTIC_FLOATS // (problem.m * problem.dim))
+    pending = []
     t0 = time.perf_counter()
 
+    def evaluate_pending():
+        if not pending:
+            return
+        xs = np.stack(pending)
+        trace.residual_log10 += [float("nan")] * len(pending) \
+            if reference is None else residuals_log10(xs, reference)
+        trace.consensus_gap += consensus_gaps(xs)
+        pending.clear()
+
     def record(st):
-        res = residual_log10(st.x, reference) if reference is not None \
-            else float("nan")
         trace.rounds.append(st.k)
-        trace.residual_log10.append(res)
-        trace.consensus_gap.append(consensus_gap(st.x))
         trace.grad_evals.append(evals)
         trace.wall_ms.append((time.perf_counter() - t0) * 1e3)
+        pending.append(st.x)
+        if len(pending) == batch:
+            evaluate_pending()
 
     record(state)
     for _ in range(rounds):
@@ -345,10 +387,12 @@ def run(algorithm: str, problem: ProblemInstance, w: MixingMatrix, alpha: float,
         # NaN and inf entries fail the comparison too
         if not float(np.linalg.norm(state.x)) <= DIVERGENCE_NORM:
             record(state)
+            evaluate_pending()
             raise DivergenceError(
                 f"iterate norm passed {DIVERGENCE_NORM:g} at round {state.k}",
                 trace=trace)
         if state.k % record_every == 0 or state.k == rounds:
             record(state)
+    evaluate_pending()
     return trace, state
 

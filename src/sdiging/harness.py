@@ -372,6 +372,8 @@ def parse_config(path) -> ExperimentConfig:
         raise ConfigError("topology needs m >= 2")
     if cfg.rounds is None or cfg.rounds < 1:
         raise ConfigError("algorithm needs rounds >= 1")
+    if cfg.record_every is not None and cfg.record_every < 1:
+        raise ConfigError("algorithm needs record_every >= 1")
     return cfg
 
 

@@ -87,13 +87,14 @@ class LogisticSample:
     def stack_params(comps):
         return [np.array([c.lam_m for c in comps]),
                 np.stack([c._lc for c in comps]),
-                np.stack([c._qlc for c in comps])]
+                np.array([float(c.q) for c in comps])]
 
     @staticmethod
     def stacked_gradient(params, x):
-        lam_m, lc, qlc = params
+        lam_m, lc, q = params
         z = -np.einsum("kn,kn->k", lc, x)
-        return lam_m[:, None] * x - expit(z)[:, None] * qlc
+        # q*lc bracketed as _qlc holds it, so the rows round as gradient's
+        return lam_m[:, None] * x - expit(z)[:, None] * (q[:, None] * lc)
 
     # The two oracles below give every agent's local average at one point x,
     # agent i's components being rows offsets[i] .. offsets[i] + q[i] - 1.

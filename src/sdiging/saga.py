@@ -149,16 +149,21 @@ class GradientTables:
     """
 
     def __init__(self, grads: np.ndarray, q, seed: int, agent_ids):
-        self.grads = grads
+        # C-contiguous, so that the flat view ``update`` takes and every
+        # ``GradientTable`` row are views: a reshape of anything else copies
+        self.grads = np.ascontiguousarray(grads, dtype=np.float64)
+        m, slots, _ = self.grads.shape
         self.q = np.asarray(q, dtype=np.int64)
-        if np.any(self.q < 1) or np.any(self.q > grads.shape[1]):
+        if np.any(self.q < 1) or np.any(self.q > slots):
             raise InvalidArgumentError(
-                f"every q_i must be in 1..{grads.shape[1]} (the table's slots)")
-        self.sums = grads.sum(axis=1)
+                f"every q_i must be in 1..{slots} (the table's slots)")
+        self.sums = self.grads.sum(axis=1)
         self.seed = int(seed) & 0xFFFFFFFFFFFFFFFF
         self.agent_ids = [int(a) for a in agent_ids]
         self.streams = IndexStreams(self.q, self.seed, self.agent_ids)
-        self._rows = np.arange(len(self.q))
+        # slot h (1-based) of row i is row _base[i] + h of the flat view
+        self._base = np.arange(m) * slots - 1
+        self._q_col = self.q.astype(np.float64)[:, None]
 
     def __len__(self) -> int:
         return len(self.q)
@@ -182,11 +187,14 @@ class GradientTables:
         idx[i] of each row is overwritten and its running sum updated by the
         add-new/subtract-old recursion.
         """
-        h = idx - 1
-        delta = fresh - self.grads[self._rows, h]
-        g = delta + self.sums / self.q[:, None]
+        # the view is taken per call, not stored: a deep copy or pickle of
+        # the tables would detach a stored view from ``grads``
+        flat = self.grads.reshape(-1, self.grads.shape[2])
+        slot = self._base + idx
+        delta = fresh - flat.take(slot, axis=0)
+        g = delta + self.sums / self._q_col
         self.sums += delta
-        self.grads[self._rows, h] = fresh
+        flat[slot] = fresh
         return g
 
     def check_sums(self):

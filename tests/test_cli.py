@@ -118,6 +118,21 @@ def test_reference_failure_exits_with_metadata(tmp_path, capsys, monkeypatch):
     assert not any(ln.startswith("reference.") for ln in meta)
 
 
+@pytest.mark.parametrize("every", ["0", "-7"])
+def test_record_every_below_one_fails_before_set_up(tmp_path, capsys,
+                                                    monkeypatch, every):
+    def solve(*args, **kwargs):
+        raise AssertionError("reference solve ran")
+
+    monkeypatch.setattr(harness, "reference_solution", solve)
+    text = QUAD_CONFIG.replace("seed = 3\n", f"seed = 3\nrecord_every = {every}\n")
+    rc = cli.main(["run", write(tmp_path, text, alpha="0.01", rounds=10)])
+    assert rc == cli.EXIT_CONFIG
+    assert "config_error: algorithm needs record_every >= 1" in \
+        capsys.readouterr().err
+    assert not any(tmp_path.glob("t.*"))
+
+
 def test_certify_valid(tmp_path, capsys):
     rc = cli.main(["certify", quad_config(tmp_path, alpha="auto")])
     out = capsys.readouterr().out

@@ -279,6 +279,9 @@ def test_run_validates_inputs():
         engine.run("sdiging", prob, w, 0.01, 0)
     with pytest.raises(InvalidArgumentError):
         engine.run("sdiging", prob, mixing("ring", 4), 0.01, 10)
+    for every in (0, -7):
+        with pytest.raises(InvalidArgumentError, match="record_every"):
+            engine.run("sdiging", prob, w, 0.01, 10, record_every=every)
 
 
 def test_eval_accounting():
@@ -340,6 +343,106 @@ def test_trace_csv_shape():
     lines = trace.to_csv().strip().splitlines()
     assert lines[0] == "round,residual_log10,consensus_gap,grad_evals,wall_ms"
     assert len(lines) == 1 + len(trace.rounds)
+
+
+# ---------------------------------------------------------------------------
+# batched diagnostics against one record at a time
+# ---------------------------------------------------------------------------
+
+def stepped_trace(rule, prob, w, alpha, rounds, seed, record_every, reference):
+    """The columns of ``engine.run`` except wall_ms, stepped by hand with
+    ``engine.step`` and each record evaluated on its own by the expressions
+    ``residual_log10`` and ``consensus_gap`` had before diagnostics were
+    batched."""
+    tables = None if rule == "diging" else engine.make_tables(prob, seed)
+    state = engine.init_state(rule, prob, tables)
+    per_round = prob.m if tables is not None else sum(lo.q for lo in prob.locals)
+    cols = {"rounds": [], "residual_log10": [], "consensus_gap": [],
+            "grad_evals": []}
+
+    def record(x, k):
+        res = float("nan")
+        if reference is not None:
+            dist = float(np.mean(np.linalg.norm(x - reference[None, :], axis=1)))
+            res = -16.0 if dist == 0.0 else max(math.log10(dist), -16.0)
+        gap = float(np.max(np.linalg.norm(x - x.mean(axis=0), axis=1)))
+        for name, v in zip(cols, (k, res, gap, per_round * (k + 1))):
+            cols[name].append(v)
+
+    record(state.x, 0)
+    for k in range(1, rounds + 1):
+        state = engine.step(rule, state, w, prob, alpha, tables)
+        if not np.linalg.norm(state.x) <= engine.DIVERGENCE_NORM:
+            record(state.x, k)
+            break
+        if k % record_every == 0 or k == rounds:
+            record(state.x, k)
+    return cols
+
+
+def assert_same_columns(trace, want):
+    for name, col in want.items():
+        got = getattr(trace, name)
+        assert len(got) == len(col)
+        assert np.array_equal(got, col, equal_nan=True), name
+
+
+def va2():
+    prob = harness.gaussian_logistic_instance(20, 30, n=4, seed=3)
+    return prob, mixing("random_gnp", 20, p=0.4, seed=3), \
+        harness.reference_solution(prob, seed=3).x
+
+
+@pytest.mark.parametrize("rule", engine.ALGORITHMS)
+def test_batched_trace_over_several_batches(rule):
+    # m x n = 20 floats per iterate: 204 records per batch, 450 records
+    prob, _ = harness.localization_instance(m=10, q_i=20, sigma=0.0, seed=9)
+    w = mixing("random_gnp", 10, p=0.4, seed=9)
+    ref = harness.reference_solution(prob, seed=9).x
+    trace, _ = engine.run(rule, prob, w, 0.1, 449, seed=11, record_every=1,
+                          reference=ref)
+    assert_same_columns(trace, stepped_trace(rule, prob, w, 0.1, 449, 11, 1, ref))
+
+
+@pytest.mark.parametrize("reference", ["solved", None])
+def test_batched_trace_on_va2_off_cadence(reference):
+    # 51 records per batch; round 1003 is recorded although 5 does not divide it
+    prob, w, ref = va2()
+    ref = ref if reference else None
+    trace, _ = engine.run("sdiging", prob, w, 0.02, 1003, seed=11,
+                          record_every=5, reference=ref)
+    want = stepped_trace("sdiging", prob, w, 0.02, 1003, 11, 5, ref)
+    assert want["rounds"][-2:] == [1000, 1003]
+    assert all(math.isnan(v) for v in trace.residual_log10) == (ref is None)
+    assert_same_columns(trace, want)
+
+
+def test_batched_trace_at_m1000_through_csr():
+    # 4000 floats per iterate: every record is its own batch
+    prob = harness.gaussian_logistic_instance(1000, 2, n=4, seed=3)
+    w = mixing("random_gnp", 1000, p=0.02, seed=3)
+    assert not isinstance(w.operator, np.ndarray)
+    ref = np.full(4, 0.1)
+    for rule in ("sdiging", "primal_dual"):
+        trace, _ = engine.run(rule, prob, w, 0.02, 12, seed=11,
+                              record_every=1, reference=ref)
+        assert_same_columns(trace, stepped_trace(rule, prob, w, 0.02, 12, 11,
+                                                 1, ref))
+
+
+@pytest.mark.parametrize("rule", engine.ALGORITHMS)
+def test_batched_partial_trace_ends_at_divergence(rule):
+    # diverges after 255-282 rounds, past the first batch of 204 records
+    prob = quadratic_family(10, 3, 2, (1.0, 2.0), seed=12)
+    w = mixing("random_gnp", 10, p=0.4, seed=9)
+    with pytest.raises(DivergenceError) as exc_info:
+        engine.run(rule, prob, w, 0.45, 3000, seed=11, record_every=1,
+                   reference=prob.known_optimum)
+    trace = exc_info.value.trace
+    want = stepped_trace(rule, prob, w, 0.45, 3000, 11, 1, prob.known_optimum)
+    assert 204 < want["rounds"][-1] < 3000
+    assert f"at round {want['rounds'][-1]}" in str(exc_info.value)
+    assert_same_columns(trace, want)
 
 
 # ---------------------------------------------------------------------------

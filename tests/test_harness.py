@@ -261,6 +261,14 @@ def test_parse_config_requires_m_and_rounds(tmp_path):
         harness.parse_config(write_config(tmp_path, text=bad))
 
 
+@pytest.mark.parametrize("every", ["0", "-7"])
+def test_parse_config_rejects_record_every_below_one(tmp_path, every):
+    bad = GOOD_CONFIG.replace("rounds = 50\n",
+                              f"rounds = 50\nrecord_every = {every}\n")
+    with pytest.raises(ConfigError, match="record_every"):
+        harness.parse_config(write_config(tmp_path, text=bad))
+
+
 # ---------------------------------------------------------------------------
 # experiments
 # ---------------------------------------------------------------------------

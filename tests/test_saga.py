@@ -333,3 +333,38 @@ def test_q_outside_the_slots_or_the_word_range_is_rejected():
     for q in ([0], [2 ** 32 + 1]):
         with pytest.raises(InvalidArgumentError):
             saga.IndexStreams(q, 0, [0])
+
+
+@pytest.mark.parametrize("layout", ["fortran", "strided", "integer"])
+def test_update_matches_row_indexing_and_keeps_rows_attached(layout):
+    # tables built from a grads array that a flat reshape would copy: the
+    # rows made before any update, a deep copy and the checkpoint text must
+    # all see every update, and the estimates are those of indexing
+    # grads[rows, slot] directly
+    rng = np.random.default_rng(23)
+    q = np.array([3, 5, 1, 4])
+    base = np.where(np.arange(5)[None, :, None] < q[:, None, None],
+                    rng.integers(-9, 9, (4, 5, 2)), 0)
+    grads = {"fortran": np.asfortranarray(base.astype(float)),
+             "strided": np.repeat(base.astype(float), 2, axis=0)[::2],
+             "integer": base}[layout]
+    t = saga.GradientTables(grads, q, 5, range(4))
+    rows = list(t)
+    ref, ref_sums, at = base.astype(float), base.sum(axis=1).astype(float), \
+        np.arange(4)
+    for _ in range(40):
+        idx = t.draw()
+        fresh = rng.standard_normal((4, 2))
+        delta = fresh - ref[at, idx - 1]
+        want = delta + ref_sums / q[:, None]
+        ref_sums += delta
+        ref[at, idx - 1] = fresh
+        assert np.array_equal(t.update(idx, fresh), want)
+    assert np.array_equal(t.grads, ref) and np.array_equal(t.sums, ref_sums)
+    for i, row in enumerate(rows):
+        assert np.array_equal(row.stored_grads, ref[i, :q[i]])
+        assert saga.dump_table(row) == saga.dump_table(t[i])
+    twin = copy.deepcopy(t)
+    idx = twin.draw()
+    twin.update(idx, rng.standard_normal((4, 2)))
+    twin.check_sums()
