@@ -176,27 +176,21 @@ def step_size_interval(w: MixingMatrix, mu: float, lip: float,
 
 
 def rate_certificate(w: MixingMatrix, mu: float, lip: float,
-                     q_min: int, q_max: int, phi: float | None = None,
-                     gamma: float = 0.5, d: float = 2.0, e: float = 2.0,
+                     q_min: int, q_max: int,
                      alpha: float | None = None) -> RateCertificate:
     """Evaluate the admissible parameter intervals and the rate constant.
 
     Free parameters left open by the theory are pinned deterministically:
-    phi defaults to mu, eta sits 5% above its lower endpoint, c is the
-    geometric mean of its interval endpoints, and alpha (when not given)
-    is half of alpha_max.  An empty interval or an out-of-range alpha
-    yields an invalid certificate with a reason, never an exception.
+    phi, gamma, d and e are fixed below, eta sits 5% above its lower
+    endpoint, c is the geometric mean of its interval endpoints, and alpha
+    (when not given) is half of alpha_max.  An empty interval or an
+    out-of-range alpha yields an invalid certificate with a reason, never
+    an exception.
     """
     if mu <= 0:
         raise CertificationRefused("objective is not strongly convex (mu <= 0)")
-    if phi is None:
-        phi = mu
-    if not (0.0 < phi < 2.0 * mu):
-        raise InvalidArgumentError(f"phi must lie in (0, {2 * mu}), got {phi}")
-    if not (0.0 < gamma < 1.0):
-        raise InvalidArgumentError(f"gamma must lie in (0, 1), got {gamma}")
-    if d <= 1.0 or e <= 1.0:
-        raise InvalidArgumentError("d and e must exceed 1")
+    # inside the theorem's ranges 0 < phi < 2 mu, 0 < gamma < 1, d, e > 1
+    phi, gamma, d, e = mu, 0.5, 2.0, 2.0
 
     eta_lo = (2.0 * (lip / q_min) * q_max * lip + (2.0 * lip - mu) * lip) \
         / (gamma * (2.0 * mu - phi))
@@ -248,10 +242,10 @@ def rate_certificate(w: MixingMatrix, mu: float, lip: float,
 
 
 def certificate_for_problem(w: MixingMatrix, problem: ProblemInstance,
-                            alpha: float | None = None, **choices) -> RateCertificate:
+                            alpha: float | None = None) -> RateCertificate:
     return rate_certificate(w, mu=problem.mu, lip=problem.lip,
                             q_min=problem.q_min, q_max=problem.q_max,
-                            alpha=alpha, **choices)
+                            alpha=alpha)
 
 
 def iterations_to_accuracy(cert: RateCertificate, kappa: float,

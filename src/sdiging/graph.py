@@ -25,6 +25,8 @@ _LAZINESS_LADDER = (0.1, 0.2, 0.3, 0.4, 0.5)
 
 _GNP_MAX_RETRIES = 1000
 
+TOPOLOGY_KINDS = ("ring", "complete", "random_gnp")
+
 
 @dataclass(frozen=True)
 class Topology:
@@ -146,7 +148,7 @@ def build_topology(kind: str, m: int, p: float | None = None, seed: int = 0) -> 
 
     Parameters
     ----------
-    kind : {"ring", "complete", "random_gnp"}
+    kind : one of ``TOPOLOGY_KINDS``
     m : number of agents, >= 2
     p : edge probability, required for ``random_gnp``
     seed : base seed; ``random_gnp`` derives a fresh stream per retry

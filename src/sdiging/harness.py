@@ -12,7 +12,7 @@ from __future__ import annotations
 import configparser
 import math
 import time
-from dataclasses import dataclass
+from dataclasses import MISSING, dataclass, field, fields
 from pathlib import Path
 
 import numpy as np
@@ -101,12 +101,12 @@ def localization_instance(m: int = 50, q_i: int = 100, field_size: float = 100.0
 
 
 def kmeans_instance(points: np.ndarray | None = None, m: int = 5, q_i: int = 30,
-                    k: int = 3, seed: int = 0,
-                    cluster_std: float = 0.25) -> ProblemInstance:
+                    k: int = 3, seed: int = 0) -> ProblemInstance:
     """Clustering-error problem over stacked centers.
 
     When no point set is given, m*q_i points are drawn from k well-separated
-    Gaussians.  A supplied point set must divide evenly across the agents.
+    Gaussians of std 0.25.  A supplied point set must divide evenly across
+    the agents.
     """
     rng = np.random.default_rng([seed & 0xFFFFFFFFFFFFFFFF, 0x335])
     if points is None:
@@ -116,7 +116,7 @@ def kmeans_instance(points: np.ndarray | None = None, m: int = 5, q_i: int = 30,
                           for j in range(k)])
         total = m * q_i
         assign = rng.integers(0, k, size=total)
-        points = means[assign] + rng.normal(scale=cluster_std, size=(total, n))
+        points = means[assign] + rng.normal(scale=0.25, size=(total, n))
     else:
         points = np.asarray(points, dtype=float)
         if points.shape[0] != m * q_i:
@@ -191,16 +191,15 @@ def _accelerated_descent(problem: ProblemInstance, x0: np.ndarray,
         f"no {tol:g}-stationary point within {max_oracle} oracle calls")
 
 
-def _lloyd_reference(problem: ProblemInstance, restarts: int = 10,
-                     seed: int = 0) -> ReferenceSolution:
-    """Best-of multi-restart center refinement; explicitly non-certified."""
+def _lloyd_reference(problem: ProblemInstance, seed: int = 0) -> ReferenceSolution:
+    """Best-of-10-restart center refinement; explicitly non-certified."""
     pts = np.stack([c.p for lo in problem.locals for c in lo.components])
     k = problem.locals[0].components[0].k
     n = pts.shape[1]
     rng = np.random.default_rng([seed & 0xFFFFFFFFFFFFFFFF, 0x11D])
     best_obj, best_centers = np.inf, None
     sweeps = 0
-    for _ in range(restarts):
+    for _ in range(10):
         centers = pts[rng.choice(pts.shape[0], size=k, replace=False)].copy()
         for _ in range(200):
             sweeps += 1
@@ -248,15 +247,6 @@ def reference_solution(problem: ProblemInstance, seed: int = 0,
 # Config files
 # ---------------------------------------------------------------------------
 
-_SCHEMA = {
-    "problem": {"family", "q", "n", "seed", "lam", "mu", "lip", "sigma", "a",
-                "theta", "clusters", "points_csv", "logistic_csv",
-                "field_size"},
-    "topology": {"kind", "m", "p", "seed", "laziness"},
-    "algorithm": {"name", "alpha", "rounds", "seed", "record_every", "epsilon"},
-    "output": {"dir", "prefix"},
-}
-
 _FAMILY_KEYS = {
     "quadratic": {"q", "n", "seed", "mu", "lip"},
     "gaussian_logistic": {"q", "n", "seed", "lam"},
@@ -266,35 +256,53 @@ _FAMILY_KEYS = {
 }
 
 
-@dataclass
+def _key(section: str, key: str, convert=str, default=MISSING):
+    """A config field read from ``key`` in ``[section]`` through ``convert``."""
+    return field(default=default,
+                 metadata={"ini": (section, key), "convert": convert})
+
+
+def _step_size(text: str) -> float | str:
+    return text if text == "auto" else float(text)
+
+
+@dataclass(kw_only=True)
 class ExperimentConfig:
-    family: str
-    topology_kind: str
-    m: int
-    algorithm: str
-    rounds: int
-    alpha: float | str = "auto"
-    q: int = 10
-    n: int = 4
-    problem_seed: int = 0
-    topology_seed: int = 0
-    run_seed: int = 0
-    p: float | None = None
-    laziness: float = 0.1
-    record_every: int | None = None
-    epsilon: float = 1e-6
-    lam: float = DEFAULT_LAMBDA
-    mu_target: float = 1.0
-    lip_target: float = 2.0
-    sigma: float | None = None
-    a: float = 100.0
-    theta: float = 2.0
-    field_size: float = 100.0
-    clusters: int = 3
-    points_csv: str | None = None
-    logistic_csv: str | None = None
-    output_dir: str = "."
-    prefix: str = "experiment"
+    """One experiment.  Each field names its INI section and key, the
+    converter its text goes through and its default; ``parse_config``
+    converts in declaration order, so of several bad values it reports
+    the first."""
+
+    family: str = _key("problem", "family")
+    topology_kind: str = _key("topology", "kind", str, "ring")
+    m: int = _key("topology", "m", int)
+    p: float | None = _key("topology", "p", float, None)
+    laziness: float = _key("topology", "laziness", float, 0.1)
+    topology_seed: int = _key("topology", "seed", int, 0)
+    algorithm: str = _key("algorithm", "name", str, "sdiging")
+    alpha: float | str = _key("algorithm", "alpha", _step_size, "auto")
+    rounds: int = _key("algorithm", "rounds", int)
+    run_seed: int = _key("algorithm", "seed", int, 0)
+    record_every: int | None = _key("algorithm", "record_every", int, None)
+    epsilon: float = _key("algorithm", "epsilon", float, 1e-6)
+    q: int = _key("problem", "q", int, 10)
+    n: int = _key("problem", "n", int, 4)
+    problem_seed: int = _key("problem", "seed", int, 0)
+    lam: float = _key("problem", "lam", float, DEFAULT_LAMBDA)
+    mu_target: float = _key("problem", "mu", float, 1.0)
+    lip_target: float = _key("problem", "lip", float, 2.0)
+    sigma: float | None = _key("problem", "sigma", float, None)
+    a: float = _key("problem", "a", float, 100.0)
+    theta: float = _key("problem", "theta", float, 2.0)
+    field_size: float = _key("problem", "field_size", float, 100.0)
+    clusters: int = _key("problem", "clusters", int, 3)
+    points_csv: str | None = _key("problem", "points_csv", str, None)
+    logistic_csv: str | None = _key("problem", "logistic_csv", str, None)
+    output_dir: str = _key("output", "dir", str, ".")
+    prefix: str = _key("output", "prefix", str, "experiment")
+
+
+_FIELDS = {f.metadata["ini"]: f for f in fields(ExperimentConfig)}
 
 
 def parse_config(path) -> ExperimentConfig:
@@ -309,71 +317,44 @@ def parse_config(path) -> ExperimentConfig:
         raise ConfigError(f"malformed config: {exc}") from exc
 
     for section in cp.sections():
-        if section not in _SCHEMA:
+        if section not in {sec for sec, _ in _FIELDS}:
             raise ConfigError(f"unknown section [{section}]")
         for key in cp[section]:
-            if key not in _SCHEMA[section]:
+            if (section, key) not in _FIELDS:
                 raise ConfigError(f"unknown key {key!r} in [{section}]")
     for required in ("problem", "topology", "algorithm"):
         if required not in cp:
             raise ConfigError(f"missing section [{required}]")
+    raw = {f.name: cp[sec][key] for (sec, key), f in _FIELDS.items()
+           if cp.has_option(sec, key)}
 
-    prob, topo, algo = cp["problem"], cp["topology"], cp["algorithm"]
-    out = cp["output"] if "output" in cp else {}
-
-    family = prob.get("family")
+    family = raw.get("family")
     if family not in _FAMILY_KEYS:
         raise ConfigError(f"unknown problem family {family!r}")
-    extra = set(prob) - {"family"} - _FAMILY_KEYS[family]
+    extra = set(cp["problem"]) - {"family"} - _FAMILY_KEYS[family]
     if extra:
         raise ConfigError(f"keys {sorted(extra)} do not apply to family {family!r}")
-
-    algorithm = algo.get("name", "sdiging")
-    if algorithm not in engine.ALGORITHMS:
-        raise ConfigError(f"unknown algorithm {algorithm!r}")
-    kind = topo.get("kind", "ring")
-    if kind not in ("ring", "complete", "random_gnp"):
-        raise ConfigError(f"unknown topology kind {kind!r}")
+    if "algorithm" in raw and raw["algorithm"] not in engine.ALGORITHMS:
+        raise ConfigError(f"unknown algorithm {raw['algorithm']!r}")
+    if "topology_kind" in raw and raw["topology_kind"] not in graph.TOPOLOGY_KINDS:
+        raise ConfigError(f"unknown topology kind {raw['topology_kind']!r}")
 
     try:
-        alpha_raw = algo.get("alpha", "auto")
-        cfg = ExperimentConfig(
-            family=family,
-            topology_kind=kind,
-            m=topo.getint("m", fallback=None),
-            p=topo.getfloat("p", fallback=None),
-            laziness=topo.getfloat("laziness", fallback=0.1),
-            topology_seed=topo.getint("seed", fallback=0),
-            algorithm=algorithm,
-            alpha="auto" if alpha_raw == "auto" else float(alpha_raw),
-            rounds=algo.getint("rounds", fallback=None),
-            run_seed=algo.getint("seed", fallback=0),
-            record_every=algo.getint("record_every", fallback=None),
-            epsilon=algo.getfloat("epsilon", fallback=1e-6),
-            q=prob.getint("q", fallback=10),
-            n=prob.getint("n", fallback=4),
-            problem_seed=prob.getint("seed", fallback=0),
-            lam=prob.getfloat("lam", fallback=DEFAULT_LAMBDA),
-            mu_target=prob.getfloat("mu", fallback=1.0),
-            lip_target=prob.getfloat("lip", fallback=2.0),
-            sigma=prob.getfloat("sigma", fallback=None),
-            a=prob.getfloat("a", fallback=100.0),
-            theta=prob.getfloat("theta", fallback=2.0),
-            field_size=prob.getfloat("field_size", fallback=100.0),
-            clusters=prob.getint("clusters", fallback=3),
-            points_csv=prob.get("points_csv", fallback=None),
-            logistic_csv=prob.get("logistic_csv", fallback=None),
-            output_dir=out.get("dir", "."),
-            prefix=out.get("prefix", "experiment"),
-        )
+        values = {f.name: f.metadata["convert"](raw[f.name])
+                  for f in _FIELDS.values() if f.name in raw}
     except (ValueError, TypeError) as exc:
         raise ConfigError(f"bad config value: {exc}") from exc
-    if cfg.m is None or cfg.m < 2:
+    if values.get("m", 0) < 2:
         raise ConfigError("topology needs m >= 2")
-    if cfg.rounds is None or cfg.rounds < 1:
+    if values.get("rounds", 0) < 1:
         raise ConfigError("algorithm needs rounds >= 1")
+    cfg = ExperimentConfig(**values)
     if cfg.record_every is not None and cfg.record_every < 1:
         raise ConfigError("algorithm needs record_every >= 1")
+    if cfg.alpha != "auto" and not 0 < cfg.alpha < math.inf:
+        raise ConfigError("algorithm needs alpha = auto or a finite alpha > 0")
+    if not 0 < cfg.epsilon < math.inf:
+        raise ConfigError("algorithm needs a finite epsilon > 0")
     return cfg
 
 
@@ -522,9 +503,10 @@ class CompareRow:
     wall_ms_to_target: float | None
 
 
-def compare_algorithms(cfg: ExperimentConfig, algorithms, target: float,
-                       record_every: int = 1) -> list[CompareRow]:
-    """Run each algorithm on one shared instance; report cost to a residual."""
+def compare_algorithms(cfg: ExperimentConfig, algorithms,
+                       target: float) -> list[CompareRow]:
+    """Run each algorithm on one shared instance; report cost to a residual,
+    recorded every round."""
     for name in algorithms:
         if name not in engine.ALGORITHMS:
             raise ConfigError(f"unknown algorithm {name!r}")
@@ -536,7 +518,7 @@ def compare_algorithms(cfg: ExperimentConfig, algorithms, target: float,
     rows = []
     for name in algorithms:
         trace, _ = engine.run(name, problem, w, float(alpha), cfg.rounds,
-                              seed=cfg.run_seed, record_every=record_every,
+                              seed=cfg.run_seed, record_every=1,
                               reference=ref.x)
         hit = next((i for i, r in enumerate(trace.residual_log10)
                     if r <= target), None)

@@ -68,7 +68,6 @@ class LogisticSample:
         self.lam_m = lam / m
         self.q = int(q)
         self._lc = self.label * self.c          # cached l*c
-        self._qlc = self.q * self._lc
         self.mu = self.lam_m
         self.lip = self.lam_m + self.q * float(self.c @ self.c) / 4.0
 
@@ -81,7 +80,7 @@ class LogisticSample:
 
     def gradient(self, x):
         z = -float(self._lc @ x)
-        return self.lam_m * x - expit(z) * self._qlc
+        return self.lam_m * x - expit(z) * (self.q * self._lc)
 
     @staticmethod
     def stack_params(comps):
@@ -93,7 +92,7 @@ class LogisticSample:
     def stacked_gradient(params, x):
         lam_m, lc, q = params
         z = -np.einsum("kn,kn->k", lc, x)
-        # q*lc bracketed as _qlc holds it, so the rows round as gradient's
+        # q*lc bracketed as gradient brackets it, so the rows round alike
         return lam_m[:, None] * x - expit(z)[:, None] * (q[:, None] * lc)
 
     # The two oracles below give every agent's local average at one point x,

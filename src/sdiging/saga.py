@@ -219,7 +219,6 @@ class GradientTable:
         self.stored_grads = tables.grads[i, :self.q]
         self.grad_sum = tables.sums[i]
         self._tables = tables
-        self._row = i
 
     @property
     def draw_count(self) -> int:

@@ -133,6 +133,30 @@ def test_record_every_below_one_fails_before_set_up(tmp_path, capsys,
     assert not any(tmp_path.glob("t.*"))
 
 
+@pytest.mark.parametrize("alpha", ["0", "nan", "-0.1"])
+def test_alpha_not_finite_positive_fails_before_set_up(tmp_path, capsys,
+                                                       monkeypatch, alpha):
+    def solve(*args, **kwargs):
+        raise AssertionError("reference solve ran")
+
+    monkeypatch.setattr(harness, "reference_solution", solve)
+    rc = cli.main(["run", quad_config(tmp_path, alpha=alpha)])
+    assert rc == cli.EXIT_CONFIG
+    assert "config_error: algorithm needs alpha = auto or a finite alpha > 0" \
+        in capsys.readouterr().err
+    assert not any(tmp_path.glob("t.*"))
+
+
+def test_epsilon_zero_fails_before_writing_a_trace(tmp_path, capsys):
+    text = QUAD_CONFIG.replace("seed = 3\n", "seed = 3\nepsilon = 0\n")
+    rc = cli.main(["run", write(tmp_path, text, alpha="auto", rounds=10)])
+    assert rc == cli.EXIT_CONFIG
+    assert "config_error: algorithm needs a finite epsilon > 0" in \
+        capsys.readouterr().err
+    assert not (tmp_path / "t.csv").exists()
+    assert not any(tmp_path.glob("t.*"))
+
+
 def test_certify_valid(tmp_path, capsys):
     rc = cli.main(["certify", quad_config(tmp_path, alpha="auto")])
     out = capsys.readouterr().out

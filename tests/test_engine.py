@@ -168,6 +168,19 @@ def test_step_size_interval_gates():
         engine.step_size_interval(w, mu=1.0, lip=1.0, phi=1.0, eta=0.0)
 
 
+def test_certificate_text_on_demo_instance_is_pinned():
+    # demos/04_rate_certificate.py's instance; phi = mu, gamma = 0.5, d = e = 2
+    prob = quadratic_family(5, 4, 3, (1.0, 2.0), seed=0)
+    w = graph.metropolis_weights(graph.build_topology("complete", 5, seed=0))
+    assert engine.certificate_for_problem(w, prob).to_text() == (
+        "valid = True\nreason = ok\nalpha = 0.00016338103047758426\n"
+        "alpha_max = 0.0003267620609551685\nphi = 1.011754071130358\n"
+        "gamma = 0.5\neta = 26.91614247684889\nc = 0.00019556369407689245\n"
+        "d = 2.0\ne = 2.0\ntheta = 5.214284020362716e-05\n"
+        "delta = 2.607142010181358e-05\nmu = 1.011754071130358\n"
+        "lip = 1.931451461250805\nq_min = 4\nq_max = 4\n")
+
+
 def test_certificate_terms_rederived():
     # well-conditioned quadratic on the complete graph: recompute each of
     # the three rate terms independently and compare

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -267,6 +268,87 @@ def test_parse_config_rejects_record_every_below_one(tmp_path, every):
                               f"rounds = 50\nrecord_every = {every}\n")
     with pytest.raises(ConfigError, match="record_every"):
         harness.parse_config(write_config(tmp_path, text=bad))
+
+
+@pytest.mark.parametrize("alpha", ["0", "-0.1", "nan", "inf"])
+def test_parse_config_rejects_alpha_not_finite_positive(tmp_path, alpha):
+    bad = GOOD_CONFIG.replace("alpha = 0.01", f"alpha = {alpha}")
+    with pytest.raises(ConfigError, match="alpha"):
+        harness.parse_config(write_config(tmp_path, text=bad))
+
+
+@pytest.mark.parametrize("epsilon", ["0", "-1e-6", "nan", "inf"])
+def test_parse_config_rejects_epsilon_not_finite_positive(tmp_path, epsilon):
+    bad = GOOD_CONFIG.replace("rounds = 50\n",
+                              f"rounds = 50\nepsilon = {epsilon}\n")
+    with pytest.raises(ConfigError, match="epsilon"):
+        harness.parse_config(write_config(tmp_path, text=bad))
+
+
+# Every key set away from its default, and the field each one must land in.
+ALL_KEYS_CONFIG = {
+    ("problem", "family"): ("localization", "family", "localization"),
+    ("problem", "q"): ("7", "q", 7),
+    ("problem", "n"): ("5", "n", 5),
+    ("problem", "seed"): ("12", "problem_seed", 12),
+    ("problem", "lam"): ("0.25", "lam", 0.25),
+    ("problem", "mu"): ("0.5", "mu_target", 0.5),
+    ("problem", "lip"): ("3.5", "lip_target", 3.5),
+    ("problem", "sigma"): ("0.75", "sigma", 0.75),
+    ("problem", "a"): ("40", "a", 40.0),
+    ("problem", "theta"): ("1.5", "theta", 1.5),
+    ("problem", "field_size"): ("60", "field_size", 60.0),
+    ("problem", "clusters"): ("4", "clusters", 4),
+    ("problem", "points_csv"): ("pts.csv", "points_csv", "pts.csv"),
+    ("problem", "logistic_csv"): ("data.csv", "logistic_csv", "data.csv"),
+    ("topology", "kind"): ("random_gnp", "topology_kind", "random_gnp"),
+    ("topology", "m"): ("9", "m", 9),
+    ("topology", "p"): ("0.3", "p", 0.3),
+    ("topology", "seed"): ("13", "topology_seed", 13),
+    ("topology", "laziness"): ("0.2", "laziness", 0.2),
+    ("algorithm", "name"): ("primal_dual", "algorithm", "primal_dual"),
+    ("algorithm", "alpha"): ("0.03", "alpha", 0.03),
+    ("algorithm", "rounds"): ("77", "rounds", 77),
+    ("algorithm", "seed"): ("14", "run_seed", 14),
+    ("algorithm", "record_every"): ("6", "record_every", 6),
+    ("algorithm", "epsilon"): ("1e-3", "epsilon", 1e-3),
+    ("output", "dir"): ("results", "output_dir", "results"),
+    ("output", "prefix"): ("run7", "prefix", "run7"),
+}
+
+
+def test_parse_config_maps_every_key_to_its_field(tmp_path, monkeypatch):
+    # no family takes every [problem] key, so admit them all for this parse
+    everything = {key for sec, key in ALL_KEYS_CONFIG if sec == "problem"}
+    monkeypatch.setitem(harness._FAMILY_KEYS, "localization", everything)
+    lines = []
+    for section in ("problem", "topology", "algorithm", "output"):
+        lines.append(f"[{section}]")
+        lines.extend(f"{key} = {text}" for (sec, key), (text, _, _)
+                     in ALL_KEYS_CONFIG.items() if sec == section)
+    cfg = harness.parse_config(write_config(tmp_path, text="\n".join(lines)))
+    default = harness.ExperimentConfig(family="quadratic", m=2, rounds=1)
+    for (section, key), (_, name, expected) in ALL_KEYS_CONFIG.items():
+        value = getattr(cfg, name)
+        assert value == expected and type(value) is type(expected), (section, key)
+        assert value != getattr(default, name), (section, key)
+    assert {f.name for f in dataclasses.fields(cfg)} == \
+        {name for _, name, _ in ALL_KEYS_CONFIG.values()}
+
+
+def test_config_keys_are_unique_and_cover_every_family():
+    pairs = [f.metadata["ini"] for f in dataclasses.fields(harness.ExperimentConfig)]
+    assert len(pairs) == len(set(pairs))
+    assert set(pairs) == set(ALL_KEYS_CONFIG)
+    problem_keys = {key for sec, key in pairs if sec == "problem"}
+    for family, keys in harness._FAMILY_KEYS.items():
+        assert keys <= problem_keys, family
+
+
+def test_config_defaults_need_no_ini():
+    cfg = harness.ExperimentConfig(family="quadratic", m=4, rounds=10)
+    assert cfg.topology_kind == "ring" and cfg.algorithm == "sdiging"
+    assert cfg.alpha == "auto" and cfg.record_every is None
 
 
 # ---------------------------------------------------------------------------
