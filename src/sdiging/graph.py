@@ -1,9 +1,10 @@
 """Undirected topologies, doubly stochastic mixing matrices, spectral data.
 
-Agents are numbered 1..m in topologies and edge-list files; matrices are
-0-indexed numpy arrays.  Each mixing matrix's spectrum is computed once,
-at construction; every spectral quantity is read from it.  The operator
-the round multiplies by, dense or CSR, is derived once, on first use.
+Agents are numbered 1..m in ``Topology.edges`` and edge-list files; edge
+arrays and matrices are 0-indexed numpy arrays.  Each mixing matrix's
+spectrum is computed once, at construction; every spectral quantity is
+read from it.  The operator the round multiplies by, dense or CSR, is
+derived once, on first use.
 """
 
 from __future__ import annotations
@@ -25,25 +26,43 @@ _LAZINESS_LADDER = (0.1, 0.2, 0.3, 0.4, 0.5)
 
 _GNP_MAX_RETRIES = 1000
 
+# Most uniforms one G(m, p) draw call holds: a memory bound (512 KB), not
+# a tuning knob; all m(m-1)/2 at once would take 400 MB at m = 10^4.
+_GNP_DRAW_FLOATS = 1 << 16
+
 TOPOLOGY_KINDS = ("ring", "complete", "random_gnp")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Topology:
-    """A connected undirected graph on agents 1..m (no explicit self-loops)."""
+    """An undirected graph on agents 1..m (no explicit self-loops).
+
+    ``edge_array`` holds one row (i, j), i < j, of 0-based agent indices per
+    edge, in lexicographic order.
+    """
 
     m: int
-    edges: frozenset
+    edge_array: np.ndarray
     retries: int = 0
+
+    @property
+    def edges(self) -> frozenset:
+        """The edges as 1-based ``(i, j)`` tuples, i < j."""
+        return frozenset(map(tuple, (self.edge_array + 1).tolist()))
+
+    @cached_property
+    def connected(self) -> bool:
+        """Whether the edges join all m agents; checked once per topology."""
+        return _is_connected(self.m, (self.edge_array + 1).tolist())
 
     def degrees(self):
         """Degree of each agent as an int array indexed 0..m-1."""
-        return np.bincount(_edge_array(self.edges).ravel(), minlength=self.m)
+        return np.bincount(self.edge_array.ravel(), minlength=self.m)
 
     def to_edge_list_text(self) -> str:
         """Serialize as: first line ``m``, then one ``i j`` line per edge."""
         lines = [str(self.m)]
-        for i, j in sorted(self.edges):
+        for i, j in (self.edge_array + 1).tolist():
             lines.append(f"{i} {j}")
         return "\n".join(lines) + "\n"
 
@@ -53,14 +72,14 @@ class Topology:
         if not lines:
             raise InvalidArgumentError("empty edge-list text")
         m = int(lines[0])
-        edges = set()
+        pairs = []
         for ln in lines[1:]:
             i, j = (int(tok) for tok in ln.split())
             if not (1 <= i <= m and 1 <= j <= m) or i == j:
                 raise InvalidArgumentError(f"bad edge line: {ln!r}")
-            edges.add((min(i, j), max(i, j)))
-        topo = Topology(m=m, edges=frozenset(edges))
-        if not _is_connected(m, edges):
+            pairs.append((i - 1, j - 1))
+        topo = Topology(m=m, edge_array=_sorted_pairs(pairs))
+        if not topo.connected:
             raise InvalidArgumentError("edge list describes a disconnected graph")
         return topo
 
@@ -114,9 +133,10 @@ class MixingMatrix:
         return buf.getvalue()
 
 
-def _edge_array(edges) -> np.ndarray:
-    """The edges as a (k, 2) array of 0-based agent indices."""
-    return np.array(list(edges), dtype=int).reshape(-1, 2) - 1
+def _sorted_pairs(pairs) -> np.ndarray:
+    """The distinct undirected pairs as a ``Topology.edge_array``."""
+    pairs = np.sort(np.array(pairs, dtype=np.intp).reshape(-1, 2), axis=1)
+    return np.unique(pairs, axis=0)
 
 
 class _UnionFind:
@@ -129,18 +149,24 @@ class _UnionFind:
             a = self.parent[a]
         return a
 
-    def union(self, a, b):
+    def union(self, a, b) -> bool:
+        """Join the sets of a and b; whether they were apart."""
         ra, rb = self.find(a), self.find(b)
         if ra != rb:
             self.parent[ra] = rb
+        return ra != rb
 
 
 def _is_connected(m, edges) -> bool:
+    """Whether the 1-based pairs ``edges`` join agents 1..m into one set;
+    stops at the edge that makes the (m - 1)-th join."""
     uf = _UnionFind(m)
+    apart = m - 1
     for i, j in edges:
-        uf.union(i - 1, j - 1)
-    root = uf.find(0)
-    return all(uf.find(k) == root for k in range(m))
+        apart -= uf.union(i - 1, j - 1)
+        if apart == 0:
+            break
+    return apart == 0
 
 
 def build_topology(kind: str, m: int, p: float | None = None, seed: int = 0) -> Topology:
@@ -163,23 +189,28 @@ def build_topology(kind: str, m: int, p: float | None = None, seed: int = 0) -> 
     if m < 2:
         raise InvalidArgumentError(f"need at least 2 agents, got m={m}")
     if kind == "ring":
-        edges = {(i, i + 1) for i in range(1, m)} | {(1, m)} if m > 2 else {(1, 2)}
-        return Topology(m=m, edges=frozenset(edges))
+        i = np.arange(m)
+        return Topology(m=m, edge_array=_sorted_pairs(
+            np.column_stack([i, (i + 1) % m])))
     if kind == "complete":
-        edges = {(i, j) for i in range(1, m + 1) for j in range(i + 1, m + 1)}
-        return Topology(m=m, edges=frozenset(edges))
+        return Topology(m=m, edge_array=np.column_stack(np.triu_indices(m, 1)))
     if kind == "random_gnp":
         if p is None or not (0.0 < p <= 1.0):
             raise InvalidArgumentError(f"random_gnp needs 0 < p <= 1, got {p}")
+        # One uniform per pair (i, j > i), row by row: pair (i, j) is draw
+        # start[i] + j - i - 1, taken _GNP_DRAW_FLOATS at a time.
+        start = np.concatenate(([0], np.cumsum(np.arange(m - 1, 0, -1))))
+        total, step = int(start[-1]), _GNP_DRAW_FLOATS
         for attempt in range(_GNP_MAX_RETRIES):
             rng = np.random.default_rng([seed & 0xFFFFFFFFFFFFFFFF, attempt])
-            edges = set()
-            for i in range(1, m + 1):
-                # one uniform per pair (i, j > i), in the per-pair draw order
-                hits = np.flatnonzero(rng.random(m - i) < p)
-                edges.update((i, i + 1 + int(k)) for k in hits)
-            if _is_connected(m, edges):
-                return Topology(m=m, edges=frozenset(edges), retries=attempt)
+            hits = np.concatenate([
+                a + np.flatnonzero(rng.random(min(step, total - a)) < p)
+                for a in range(0, total, step)])
+            i = np.searchsorted(start, hits, side="right") - 1
+            topo = Topology(m=m, edge_array=np.column_stack(
+                [i, hits - start[i] + i + 1]), retries=attempt)
+            if topo.connected:
+                return topo
         raise ConstructionFailure(
             f"no connected G({m}, {p}) sample in {_GNP_MAX_RETRIES} retries"
         )
@@ -199,12 +230,12 @@ def metropolis_weights(t: Topology, laziness: float = 0.1) -> MixingMatrix:
     """
     if not (0.0 <= laziness < 1.0):
         raise InvalidArgumentError(f"laziness must be in [0, 1), got {laziness}")
-    if not _is_connected(t.m, t.edges):
+    if not t.connected:
         raise InvalidArgumentError("topology is disconnected")
 
     m = t.m
     deg = t.degrees()
-    i, j = _edge_array(t.edges).T
+    i, j = t.edge_array.T
     w_raw = np.zeros((m, m))
     w_raw[i, j] = w_raw[j, i] = 1.0 / (1.0 + np.maximum(deg[i], deg[j]))
     np.fill_diagonal(w_raw, 1.0 - w_raw.sum(axis=1))

@@ -55,15 +55,13 @@ def gaussian_logistic_instance(m: int, q_i: int, n: int = 4, seed: int = 0,
         raise InvalidArgumentError(f"q_i must be even (half per class), got {q_i}")
     mean = np.array([2.0] * math.ceil(n / 2) + [-2.0] * (n // 2))
     rng = np.random.default_rng([seed & 0xFFFFFFFFFFFFFFFF, 0x106])
-    locals_ = []
     half = q_i // 2
-    for _ in range(m):
-        plus = mean + rng.normal(scale=np.sqrt(2.0), size=(half, n))
-        minus = -mean + rng.normal(scale=np.sqrt(2.0), size=(half, n))
-        feats = np.vstack([plus, minus])
-        labels = np.array([1] * half + [-1] * half)
-        locals_.append(make_logistic_local(feats, labels, lam=lam, m=m))
-    return ProblemInstance(locals=locals_)
+    # agent by agent, class +1 then class -1: the order of one draw per block
+    noise = rng.normal(scale=np.sqrt(2.0), size=(m, 2, half, n))
+    feats = (np.stack([mean, -mean])[:, None, :] + noise).reshape(m, q_i, n)
+    labels = np.repeat([1, -1], half)
+    return ProblemInstance(locals=[make_logistic_local(f, labels, lam=lam, m=m)
+                                   for f in feats])
 
 
 def localization_instance(m: int = 50, q_i: int = 100, field_size: float = 100.0,
@@ -81,6 +79,8 @@ def localization_instance(m: int = 50, q_i: int = 100, field_size: float = 100.0
         raise InvalidArgumentError(f"source strength must be positive, got {a}")
     if sigma is None:
         sigma = DEFAULT_SIGMA_FRACTION * a
+    if not sigma >= 0:
+        raise InvalidArgumentError(f"noise std must be >= 0, got {sigma}")
     rng = np.random.default_rng([seed & 0xFFFFFFFFFFFFFFFF, 0x10C])
     source = rng.uniform(0.0, field_size, size=2)
     sensors = []
@@ -310,7 +310,7 @@ def parse_config(path) -> ExperimentConfig:
     path = Path(path)
     if not path.is_file():
         raise ConfigError(f"config file not found: {path}")
-    cp = configparser.ConfigParser()
+    cp = configparser.ConfigParser(interpolation=None)   # '%' is literal
     try:
         cp.read(path)
     except configparser.Error as exc:
@@ -355,6 +355,8 @@ def parse_config(path) -> ExperimentConfig:
         raise ConfigError("algorithm needs alpha = auto or a finite alpha > 0")
     if not 0 < cfg.epsilon < math.inf:
         raise ConfigError("algorithm needs a finite epsilon > 0")
+    if cfg.sigma is not None and not cfg.sigma >= 0:
+        raise ConfigError("problem needs sigma >= 0")
     return cfg
 
 

@@ -67,9 +67,9 @@ class LogisticSample:
         self.dim = self.c.shape[0]
         self.lam_m = lam / m
         self.q = int(q)
-        self._lc = self.label * self.c          # cached l*c
+        self._lc = self.c if self.label == 1 else -self.c   # l*c, bit for bit
         self.mu = self.lam_m
-        self.lip = self.lam_m + self.q * float(self.c @ self.c) / 4.0
+        self.lip = self.lam_m + self.q * float(self.c.dot(self.c)) / 4.0
 
     def value(self, x):
         z = -float(self._lc @ x)
@@ -388,8 +388,8 @@ def make_logistic_local(features, labels, lam: float, m: int) -> LocalObjective:
     labels = np.asarray(labels, dtype=int)
     q = features.shape[0]
     return LocalObjective(components=[
-        LogisticSample(c=features[h], label=int(labels[h]), lam=lam, m=m, q=q)
-        for h in range(q)])
+        LogisticSample(c=c, label=label, lam=lam, m=m, q=q)
+        for c, label in zip(features, labels.tolist())])
 
 
 def load_logistic_csv(path) -> tuple[np.ndarray, np.ndarray]:

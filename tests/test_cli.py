@@ -147,6 +147,27 @@ def test_alpha_not_finite_positive_fails_before_set_up(tmp_path, capsys,
     assert not any(tmp_path.glob("t.*"))
 
 
+def test_percent_in_a_value_is_literal(tmp_path, capsys):
+    text = QUAD_CONFIG.replace("prefix = t", "prefix = run%1")
+    rc = cli.main(["run", write(tmp_path, text, alpha="0.01", rounds=10)])
+    assert rc == 0
+    assert (tmp_path / "run%1.csv").is_file()
+    assert "config.prefix = run%1" in \
+        (tmp_path / "run%1.meta.txt").read_text().splitlines()
+
+
+def test_negative_sigma_fails_before_set_up(tmp_path, capsys, monkeypatch):
+    def build(*args, **kwargs):
+        raise AssertionError("set-up ran")
+
+    monkeypatch.setattr(harness, "build_mixing", build)
+    text = LOCALIZATION_CONFIG.replace("sigma = 0.0", "sigma = -3")
+    rc = cli.main(["run", write(tmp_path, text)])
+    assert rc == cli.EXIT_CONFIG
+    assert "config_error: problem needs sigma >= 0" in capsys.readouterr().err
+    assert not any(tmp_path.glob("loc.*"))
+
+
 def test_epsilon_zero_fails_before_writing_a_trace(tmp_path, capsys):
     text = QUAD_CONFIG.replace("seed = 3\n", "seed = 3\nepsilon = 0\n")
     rc = cli.main(["run", write(tmp_path, text, alpha="auto", rounds=10)])

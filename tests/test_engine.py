@@ -37,7 +37,7 @@ def localization_like_problem():
 
 def test_single_agent_reduces_to_gradient_descent():
     prob = quadratic_family(1, 1, 2, (1.0, 1.0), seed=0)
-    t = graph.Topology(m=1, edges=frozenset())
+    t = graph.Topology(m=1, edge_array=np.empty((0, 2), int))
     w = graph.MixingMatrix(w=np.eye(1), eig_w=np.array([1.0]),
                            laziness=0.0, topology=t)
     alpha = 0.3

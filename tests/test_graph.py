@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -78,11 +80,32 @@ def per_draw_gnp(m, p, seed):
 
 @pytest.mark.parametrize("m, p, seed, retries", [
     (1000, 0.02, 3, 0), (1000, 0.02, 7, 0), (20, 0.4, 3, 0),
-    (50, 0.05, 1, 3), (12, 0.15, 4, 2)])
+    (50, 0.05, 1, 3), (12, 0.15, 4, 2),
+    (400, 0.013, 3, 1)])     # 79 800 pairs: each attempt spans two draws
 def test_gnp_edges_match_per_draw_sampling(m, p, seed, retries):
     t = graph.build_topology("random_gnp", m, p=p, seed=seed)
     assert (t.edges, t.retries) == (frozenset(per_draw_gnp(m, p, seed)[0]),
                                     retries)
+
+
+@pytest.mark.parametrize("floats", [1, 7, 48, 100])
+def test_gnp_edges_match_per_draw_sampling_in_small_draws(monkeypatch, floats):
+    # draw calls that end inside a row, and rows that span several calls
+    monkeypatch.setattr(graph, "_GNP_DRAW_FLOATS", floats)
+    t = graph.build_topology("random_gnp", 50, p=0.05, seed=1)
+    assert (t.edges, t.retries) == (frozenset(per_draw_gnp(50, 0.05, 1)[0]), 3)
+    assert np.array_equal(t.edge_array, np.array(sorted(t.edges)) - 1)
+
+
+def test_gnp_draws_are_bounded_in_memory():
+    # all 8 M uniforms of G(4000, p) at once would take 64 MB
+    tracemalloc.start()
+    try:
+        graph.build_topology("random_gnp", 4000, p=0.002, seed=0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8e6
 
 
 def test_gnp_retry_exhaustion():
@@ -154,9 +177,29 @@ def test_sparsity_pattern_matches_topology():
 
 
 def test_disconnected_topology_rejected():
-    t = graph.Topology(m=4, edges=frozenset({(1, 2), (3, 4)}))
+    t = graph.Topology(m=4, edge_array=np.array([[0, 1], [2, 3]]))
     with pytest.raises(InvalidArgumentError):
         graph.metropolis_weights(t)
+
+
+@pytest.mark.parametrize("kind, m, p", [
+    ("ring", 2, None), ("ring", 6, None), ("complete", 5, None),
+    ("random_gnp", 30, 0.3)])
+def test_edge_array_is_sorted_edges(kind, m, p):
+    t = graph.build_topology(kind, m, p=p, seed=2)
+    assert t.edge_array.shape == (len(t.edges), 2)
+    assert t.edge_array.tolist() == [[i - 1, j - 1] for i, j in sorted(t.edges)]
+
+
+def test_connectivity_checked_once_per_topology(monkeypatch):
+    calls = []
+    is_connected = graph._is_connected
+    monkeypatch.setattr(graph, "_is_connected",
+                        lambda m, e: calls.append(m) or is_connected(m, e))
+    t = graph.build_topology("random_gnp", 12, p=0.15, seed=4)
+    graph.metropolis_weights(t)
+    graph.metropolis_weights(t, laziness=0.3)
+    assert len(calls) == t.retries + 1 == 3
 
 
 def test_spectral_m2_analytic():
@@ -197,7 +240,7 @@ def test_rho2_rejects_two_zero_laplacian_eigenvalues():
     # Two disconnected halves: W has eigenvalue 1 twice, so L has two zeros.
     half = np.full((2, 2), 0.5)
     w_two = np.block([[half, np.zeros((2, 2))], [np.zeros((2, 2)), half]])
-    t = graph.Topology(m=4, edges=frozenset({(1, 2), (3, 4)}))
+    t = graph.Topology(m=4, edge_array=np.array([[0, 1], [2, 3]]))
     w = graph.MixingMatrix(w=w_two, eig_w=np.linalg.eigvalsh(w_two),
                            laziness=0.0, topology=t)
     with pytest.raises(InvalidArgumentError):
@@ -291,8 +334,9 @@ def test_operator_rule_boundary(m, nnz, csr):
     # CSR iff m >= 200 and nnz <= m^2/20; only the pattern of w matters
     a = np.zeros(m * m)
     a[:nnz] = 1.0
+    edgeless = graph.Topology(m=m, edge_array=np.empty((0, 2), int))
     w = graph.MixingMatrix(w=a.reshape(m, m), eig_w=np.ones(m), laziness=0.0,
-                           topology=graph.Topology(m=m, edges=frozenset()))
+                           topology=edgeless)
     assert (w.operator is not w.w) == csr
 
 

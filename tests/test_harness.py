@@ -22,6 +22,33 @@ def test_gaussian_logistic_shape_and_determinism():
             assert np.array_equal(ca.c, cb.c) and ca.label == cb.label
 
 
+def per_agent_logistic(m, q_i, n, seed, lam=harness.DEFAULT_LAMBDA):
+    """The instance drawn agent by agent, one normal draw per class block,
+    and built with label * c and c @ c."""
+    mean = np.array([2.0] * math.ceil(n / 2) + [-2.0] * (n // 2))
+    rng = np.random.default_rng([seed, 0x106])
+    lc, lip = [], []
+    for _ in range(m):
+        plus = mean + rng.normal(scale=np.sqrt(2.0), size=(q_i // 2, n))
+        minus = -mean + rng.normal(scale=np.sqrt(2.0), size=(q_i // 2, n))
+        for c, label in zip(np.vstack([plus, minus]),
+                            [1] * (q_i // 2) + [-1] * (q_i // 2)):
+            lc.append(label * c)
+            lip.append(lam / m + q_i * float(c @ c) / 4.0)
+    return np.array(lc), lam / m, max(lip)
+
+
+@pytest.mark.parametrize("m, q_i", [(20, 30), (100, 30), (1000, 10)])
+def test_gaussian_logistic_matches_per_agent_draws(m, q_i):
+    prob = harness.gaussian_logistic_instance(m, q_i, n=4, seed=3)
+    lc, lam_m, lip = per_agent_logistic(m, q_i, 4, 3)
+    _, (got_lam_m, got_lc, got_q), _, _ = prob._stack()
+    assert np.array_equal(got_lc, lc)
+    assert np.array_equal(np.signbit(got_lc), np.signbit(lc))
+    assert (got_lam_m == lam_m).all() and (got_q == q_i).all()
+    assert prob.mu == lam_m and prob.lip == lip
+
+
 def test_gaussian_logistic_rejects_odd_q():
     with pytest.raises(InvalidArgumentError):
         harness.gaussian_logistic_instance(m=2, q_i=5, seed=0)
@@ -47,6 +74,12 @@ def test_localization_geometry_noiseless():
         for c in lo.components:
             assert c.value(source) == pytest.approx(0.0, abs=1e-18)
     assert prob.aggregate_value(source) == pytest.approx(0.0, abs=1e-18)
+
+
+@pytest.mark.parametrize("sigma", [-3.0, -1e-300, float("nan")])
+def test_localization_rejects_sigma_below_zero(sigma):
+    with pytest.raises(InvalidArgumentError, match="noise std"):
+        harness.localization_instance(m=4, q_i=3, sigma=sigma, seed=0)
 
 
 def test_localization_sensor_distance_floor():
@@ -283,6 +316,20 @@ def test_parse_config_rejects_epsilon_not_finite_positive(tmp_path, epsilon):
                               f"rounds = 50\nepsilon = {epsilon}\n")
     with pytest.raises(ConfigError, match="epsilon"):
         harness.parse_config(write_config(tmp_path, text=bad))
+
+
+def test_parse_config_takes_percent_literally(tmp_path):
+    text = GOOD_CONFIG.replace("prefix = t", "prefix = run%1 %(n)s")
+    cfg = harness.parse_config(write_config(tmp_path, text=text))
+    assert cfg.prefix == "run%1 %(n)s"
+
+
+@pytest.mark.parametrize("sigma", ["-3", "-0.5", "nan"])
+def test_parse_config_rejects_sigma_below_zero(tmp_path, sigma):
+    text = GOOD_CONFIG.replace("family = quadratic\nq = 3\nn = 2",
+                               f"family = localization\nq = 3\nsigma = {sigma}")
+    with pytest.raises(ConfigError, match="sigma >= 0"):
+        harness.parse_config(write_config(tmp_path, text=text))
 
 
 # Every key set away from its default, and the field each one must land in.

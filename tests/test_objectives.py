@@ -123,6 +123,27 @@ def test_logistic_rejects_bad_inputs():
         LogisticSample(c=np.ones(2), label=1, lam=0.0, m=1, q=1)
 
 
+@pytest.mark.parametrize("label", [1, -1])
+def test_logistic_fields_match_product_formulas(label):
+    # -c for label -1 and c.dot(c) round as label * c and c @ c, signed
+    # zeros included
+    rng = np.random.default_rng(label + 2)
+    rows = rng.standard_normal((200_000, 4))
+    rows[rng.random(rows.shape) < 0.05] = 0.0
+    rows[rng.random(rows.shape) < 0.05] = -0.0
+    for c in rows[::1000]:
+        f = LogisticSample(c=c, label=label, lam=1.0, m=3, q=7)
+        lc = label * c
+        assert np.array_equal(f._lc, lc)
+        assert np.array_equal(np.signbit(f._lc), np.signbit(lc))
+        assert f.lip == f.lam_m + 7 * float(c @ c) / 4.0
+    negated = -rows if label == -1 else rows
+    assert np.array_equal(np.signbit(negated), np.signbit(label * rows))
+    assert np.array_equal(negated, label * rows)
+    dots = np.array([c.dot(c) for c in rows])
+    assert np.array_equal(dots, np.array([c @ c for c in rows]))
+
+
 def test_convexity_probes_quadratic_and_logistic():
     # (grad(a)-grad(b))'(a-b) >= mu ||a-b||^2 and the Lipschitz mirror
     rng = np.random.default_rng(7)
