@@ -100,7 +100,13 @@ def step(rule: str, s: NetworkState, w: MixingMatrix, problem: ProblemInstance,
     if s.x.shape != (w.m, problem.dim) or \
             (tables is not None and len(tables) != problem.m):
         raise InvalidArgumentError("state/tables/problem dimensions disagree")
-    mix = w.operator
+    return _round(dual, s, w.operator, problem, alpha, tables)
+
+
+def _round(dual: bool, s: NetworkState, mix, problem: ProblemInstance,
+           alpha: float, tables: GradientTables | None) -> NetworkState:
+    """The round ``step`` and ``run`` take, without argument checks; ``mix``
+    is ``w.operator``."""
     if dual:
         # W^2 x - alpha g - (I - W) lam, without forming W^2 or I - W
         x_new = mix @ (mix @ s.x) - alpha * s.g_prev - (s.lam - mix @ s.lam)
@@ -110,7 +116,7 @@ def step(rule: str, s: NetworkState, w: MixingMatrix, problem: ProblemInstance,
         g_new = problem.local_gradients(x_new)
     else:
         idx = tables.draw()
-        g_new = tables.update(idx, problem.component_gradients(x_new, idx - 1))
+        g_new = tables.update(idx, problem.drawn_gradients(x_new, idx))
     if dual:
         return NetworkState(x=x_new, lam=s.lam + (x_new - mix @ x_new),
                             g_prev=g_new, k=s.k + 1)
@@ -375,11 +381,14 @@ def run(algorithm: str, problem: ProblemInstance, w: MixingMatrix, alpha: float,
             evaluate_pending()
 
     record(state)
+    dual, mix = algorithm == "primal_dual", w.operator
     for _ in range(rounds):
-        state = step(algorithm, state, w, problem, alpha, tables)
+        state = _round(dual, state, mix, problem, alpha, tables)
         evals += per_round
-        # NaN and inf entries fail the comparison too
-        if not float(np.linalg.norm(state.x)) <= DIVERGENCE_NORM:
+        # the Euclidean norm as np.linalg.norm takes it; NaN and inf
+        # entries fail the comparison too
+        flat = state.x.ravel()
+        if not math.sqrt(flat.dot(flat)) <= DIVERGENCE_NORM:
             record(state)
             evaluate_pending()
             raise DivergenceError(

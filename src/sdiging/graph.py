@@ -71,10 +71,17 @@ class Topology:
         lines = [ln for ln in text.splitlines() if ln.strip()]
         if not lines:
             raise InvalidArgumentError("empty edge-list text")
-        m = int(lines[0])
+        try:
+            m = int(lines[0])
+        except ValueError:
+            raise InvalidArgumentError(
+                f"bad agent count line: {lines[0]!r}") from None
         pairs = []
         for ln in lines[1:]:
-            i, j = (int(tok) for tok in ln.split())
+            try:        # two integer tokens
+                i, j = (int(tok) for tok in ln.split())
+            except ValueError:
+                raise InvalidArgumentError(f"bad edge line: {ln!r}") from None
             if not (1 <= i <= m and 1 <= j <= m) or i == j:
                 raise InvalidArgumentError(f"bad edge line: {ln!r}")
             pairs.append((i - 1, j - 1))
@@ -84,9 +91,12 @@ class Topology:
         return topo
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class MixingMatrix:
-    """Symmetric doubly stochastic weight matrix with positive spectrum."""
+    """Symmetric doubly stochastic weight matrix with positive spectrum.
+
+    Compared and hashed by identity, as ``Topology`` is: its fields are
+    arrays."""
 
     w: np.ndarray
     eig_w: np.ndarray          # sorted ascending

@@ -6,12 +6,15 @@ component exposes ``value``, ``gradient``, a strong-convexity modulus
 and the reference solver only see this interface.  For the synchronous
 round, every component class also stacks the parameters of many
 components (``stack_params``) and evaluates all their gradients at once
-(``stacked_gradient``, row k at point row k).
+(``stacked_gradient``, row k at point row k).  The stacked logistic
+parameters hold each sample's ``q*l*c`` next to ``l*c``, formed once, so
+the round does not form it again.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import Callable, NamedTuple
 
 import numpy as np
 from scipy.special import expit
@@ -84,46 +87,46 @@ class LogisticSample:
 
     @staticmethod
     def stack_params(comps):
-        return [np.array([c.lam_m for c in comps]),
-                np.stack([c._lc for c in comps]),
-                np.array([float(c.q) for c in comps])]
+        """[lam_m as a column, l*c, q*l*c]: q*lc bracketed as ``gradient``
+        brackets it, so the rows round alike."""
+        lc = np.stack([c._lc for c in comps])
+        q = np.array([float(c.q) for c in comps])
+        return [np.array([c.lam_m for c in comps])[:, None], lc, q[:, None] * lc]
 
     @staticmethod
     def stacked_gradient(params, x):
-        lam_m, lc, q = params
+        lam_m, lc, qlc = params
         z = -np.einsum("kn,kn->k", lc, x)
-        # q*lc bracketed as gradient brackets it, so the rows round alike
-        return lam_m[:, None] * x - expit(z)[:, None] * (q[:, None] * lc)
+        return lam_m * x - expit(z)[:, None] * qlc
 
-    # The two oracles below give every agent's local average at one point x,
-    # agent i's components being rows offsets[i] .. offsets[i] + q[i] - 1.
-    # For agents built by make_logistic_local (one lam_m, q = the agent's
-    # component count) the q's cancel: lam_m*x - sum_h sigmoid(-lc_h.x)*lc_h.
-    # With equal q the sums are a batched matmul and a row sum, which round
-    # as one agent's do; uneven q sums with reduceat.
+    # The two oracles below give every agent's local average at one point x
+    # for agents built by make_logistic_local (one lam_m per agent, q = the
+    # agent's component count), where the q's cancel:
+    # lam_m*x - sum_h sigmoid(-lc_h.x)*lc_h.  Agent i's components are rows
+    # offsets[i] .. of lc; ``split`` is None when every agent has the same
+    # q, and the sums are then a batched matmul and a row sum, which round
+    # as one agent's do; uneven q sums with reduceat at ``split``.
 
     @staticmethod
-    def local_gradients_at(params, offsets, q, x):
+    def local_gradients_at(lam_m, lc, split, x):
         """Row i: agent i's full local gradient at x."""
-        lam_m, lc, _ = params
-        s, m = expit(-(lc @ x)), len(q)
-        if (q == q[0]).all():
-            tilt = (s.reshape(m, 1, -1) @ lc.reshape(m, q[0], -1))[:, 0]
+        s, m = expit(-(lc @ x)), len(lam_m)
+        if split is None:
+            tilt = (s.reshape(m, 1, -1) @ lc.reshape(m, -1, lc.shape[1]))[:, 0]
         else:
-            tilt = np.add.reduceat(s[:, None] * lc, offsets, axis=0)
-        return lam_m[offsets, None] * x - tilt
+            tilt = np.add.reduceat(s[:, None] * lc, split, axis=0)
+        return lam_m[:, None] * x - tilt
 
     @staticmethod
-    def local_values_at(params, offsets, q, x):
+    def local_values_at(lam_m, lc, split, x):
         """Entry i: agent i's local objective value at x."""
-        lam_m, lc, _ = params
         z = -(lc @ x)
         soft = np.maximum(z, 0.0) + np.log1p(np.exp(-np.abs(z)))
-        if (q == q[0]).all():
-            sums = soft.reshape(len(q), -1).sum(axis=1)
+        if split is None:
+            sums = soft.reshape(len(lam_m), -1).sum(axis=1)
         else:
-            sums = np.add.reduceat(soft, offsets)
-        return 0.5 * lam_m[offsets] * float(x @ x) + sums
+            sums = np.add.reduceat(soft, split)
+        return 0.5 * lam_m * float(x @ x) + sums
 
 
 class DiskDistance:
@@ -254,15 +257,30 @@ class LocalObjective:
         return full_local_gradient(self, x)
 
 
+class StackedParams(NamedTuple):
+    """Component parameters stacked agent-major: agent i's components are
+    rows offsets[i] .. offsets[i] + q[i] - 1 of every parameter array, and
+    its component h (1-based) is row first[i] + h.  ``split`` is
+    ``offsets``, or None when every agent has the same q."""
+
+    grad: Callable              # the component class's stacked_gradient
+    params: list                # and its stack_params
+    offsets: np.ndarray
+    q: np.ndarray
+    first: np.ndarray           # offsets - 1
+    split: np.ndarray | None
+
+
 @dataclass
 class ProblemInstance:
     """One problem shared by m agents, with aggregate constants.
 
-    ``component_gradients`` and ``local_gradients`` evaluate one gradient
-    per agent at the rows of a stacked m x n iterate.  They read the
-    component parameters stacked agent-major, built on first use.  On a
-    logistic problem ``aggregate_value``/``aggregate_gradient`` read them
-    too; every other problem, mixed classes included, sums agent by agent.
+    ``component_gradients``, ``drawn_gradients`` and ``local_gradients``
+    evaluate one gradient per agent at the rows of a stacked m x n iterate.
+    They read the component parameters stacked agent-major, built on first
+    use.  On a logistic problem ``aggregate_value``/``aggregate_gradient``
+    read them too; every other problem, mixed classes included, sums agent
+    by agent.
     """
 
     locals: list
@@ -271,22 +289,37 @@ class ProblemInstance:
     q_max: int = field(init=False)
     mu: float = field(init=False)
     lip: float = field(init=False)
-    _stacked: tuple | None = field(default=None, init=False, repr=False,
-                                   compare=False)
+    _stacked: StackedParams | None = field(default=None, init=False,
+                                           repr=False, compare=False)
 
     def __post_init__(self):
         dims = {lo.dim for lo in self.locals}
         if len(dims) != 1:
             raise InvalidArgumentError(f"agents disagree on dimension: {dims}")
-        self.q_min = min(lo.q for lo in self.locals)
-        self.q_max = max(lo.q for lo in self.locals)
-        self.mu = min(c.mu for lo in self.locals for c in lo.components)
-        self.lip = max(c.lip for lo in self.locals for c in lo.components)
-        # LogisticSample.local_*_at hold for agents as make_logistic_local
-        # builds them; any other problem keeps the per-agent sum
-        self._logistic = all(type(c) is LogisticSample and c.q == lo.q
-                             and c.lam_m == lo.components[0].lam_m
-                             for lo in self.locals for c in lo.components)
+        qs = [lo.q for lo in self.locals]
+        self.q_min, self.q_max = min(qs), max(qs)
+        # One pass over the components for mu, lip (as min and max take
+        # them) and the logistic test: LogisticSample.local_*_at hold for
+        # agents as make_logistic_local builds them, and _logistic then
+        # holds each agent's lam_m; any other problem (None) keeps the
+        # per-agent sum.
+        c0 = self.locals[0].components[0]
+        mu, lip, lam = c0.mu, c0.lip, []
+        for lo, q in zip(self.locals, qs):
+            head = lo.components[0]
+            for c in lo.components:
+                if c.mu < mu:
+                    mu = c.mu
+                if c.lip > lip:
+                    lip = c.lip
+                if lam is not None and not (type(c) is LogisticSample
+                                            and c.q == q
+                                            and c.lam_m == head.lam_m):
+                    lam = None
+            if lam is not None:
+                lam.append(head.lam_m)
+        self.mu, self.lip = mu, lip
+        self._logistic = None if lam is None else np.array(lam)
 
     @property
     def m(self) -> int:
@@ -298,24 +331,25 @@ class ProblemInstance:
 
     def aggregate_value(self, x):
         """Value of the average objective (1/m) sum_i f_i at a single point."""
-        if self._logistic:
-            _, params, offsets, q = self._stack()
-            values = LogisticSample.local_values_at(params, offsets, q, x)
-            return sum(values.tolist()) / self.m
+        if self._logistic is not None:
+            st = self._stack()
+            values = LogisticSample.local_values_at(
+                self._logistic, st.params[1], st.split, x)
+            # a running sum adds the agents in order, as a loop does
+            return float(np.add.accumulate(values)[-1] / self.m)
         return sum(lo.value(x) for lo in self.locals) / self.m
 
     def aggregate_gradient(self, x):
-        if self._logistic:
-            _, params, offsets, q = self._stack()
-            rows = LogisticSample.local_gradients_at(params, offsets, q, x)
+        if self._logistic is not None:
+            st = self._stack()
+            rows = LogisticSample.local_gradients_at(
+                self._logistic, st.params[1], st.split, x)
             # a running sum adds the agents in order, as a loop does, for
             # every n; add.reduce sums pairwise when n == 1
             return np.add.accumulate(rows, axis=0)[-1] / self.m
         return sum(lo.full_gradient(x) for lo in self.locals) / self.m
 
-    def _stack(self):
-        """(stacked_gradient, params, offsets, q): agent i's components are
-        rows offsets[i] .. offsets[i] + q[i] - 1 of every parameter array."""
+    def _stack(self) -> StackedParams:
         if self._stacked is None:
             comps = [c for lo in self.locals for c in lo.components]
             kinds = {type(c) for c in comps}
@@ -325,19 +359,26 @@ class ProblemInstance:
                     f"{sorted(k.__name__ for k in kinds)}")
             kind = kinds.pop()
             q = np.array([lo.q for lo in self.locals])
-            self._stacked = (kind.stacked_gradient, kind.stack_params(comps),
-                             np.cumsum(q) - q, q)
+            offsets = np.cumsum(q) - q
+            self._stacked = StackedParams(
+                kind.stacked_gradient, kind.stack_params(comps), offsets, q,
+                offsets - 1, None if (q == q[0]).all() else offsets)
         return self._stacked
 
     def component_gradients(self, x, h):
         """Row i: gradient of agent i's component h[i] (0-based) at x[i]."""
-        grad, params, offsets, _ = self._stack()
-        sel = offsets + h
-        return grad([p[sel] for p in params], x)
+        return self.drawn_gradients(x, np.asarray(h) + 1)
+
+    def drawn_gradients(self, x, idx):
+        """Row i: gradient of agent i's component idx[i] (1-based, as
+        ``GradientTables.draw`` gives it) at x[i]."""
+        st = self._stack()
+        rows = st.first + idx
+        return st.grad([p.take(rows, axis=0) for p in st.params], x)
 
     def local_gradients(self, x):
         """Row i: agent i's full local gradient at x[i]."""
-        grad, params, offsets, q = self._stack()
+        grad, params, offsets, q, _, _ = self._stack()
         g = grad(params, np.repeat(x, q, axis=0))
         return np.add.reduceat(g, offsets, axis=0) / q[:, None]
 

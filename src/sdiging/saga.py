@@ -149,21 +149,29 @@ class GradientTables:
     """
 
     def __init__(self, grads: np.ndarray, q, seed: int, agent_ids):
-        # C-contiguous, so that the flat view ``update`` takes and every
-        # ``GradientTable`` row are views: a reshape of anything else copies
-        self.grads = np.ascontiguousarray(grads, dtype=np.float64)
-        m, slots, _ = self.grads.shape
+        grads = np.ascontiguousarray(grads, dtype=np.float64)
+        m, slots, n = grads.shape
         self.q = np.asarray(q, dtype=np.int64)
         if np.any(self.q < 1) or np.any(self.q > slots):
             raise InvalidArgumentError(
                 f"every q_i must be in 1..{slots} (the table's slots)")
-        self.sums = self.grads.sum(axis=1)
+        # The tables live in one (m * slots) x n array; slot h (1-based) of
+        # row i is its row _base[i] + h.  ``grads`` and every
+        # ``GradientTable`` row are views of it, taken on access, so that
+        # neither a deep copy nor a pickle can detach one.
+        self._flat = grads.reshape(m * slots, n)
+        self._base = np.arange(m) * slots - 1
+        self.sums = grads.sum(axis=1)
         self.seed = int(seed) & 0xFFFFFFFFFFFFFFFF
         self.agent_ids = [int(a) for a in agent_ids]
         self.streams = IndexStreams(self.q, self.seed, self.agent_ids)
-        # slot h (1-based) of row i is row _base[i] + h of the flat view
-        self._base = np.arange(m) * slots - 1
-        self._q_col = self.q.astype(np.float64)[:, None]
+        # q_i in every entry of row i: the division by q needs no broadcast
+        self._q_rows = np.repeat(self.q.astype(np.float64)[:, None], n, axis=1)
+
+    @property
+    def grads(self) -> np.ndarray:
+        """The m x q_max x n tables, a view of their storage."""
+        return self._flat.reshape(len(self.q), -1, self._flat.shape[1])
 
     def __len__(self) -> int:
         return len(self.q)
@@ -187,14 +195,11 @@ class GradientTables:
         idx[i] of each row is overwritten and its running sum updated by the
         add-new/subtract-old recursion.
         """
-        # the view is taken per call, not stored: a deep copy or pickle of
-        # the tables would detach a stored view from ``grads``
-        flat = self.grads.reshape(-1, self.grads.shape[2])
         slot = self._base + idx
-        delta = fresh - flat.take(slot, axis=0)
-        g = delta + self.sums / self._q_col
+        delta = fresh - self._flat.take(slot, axis=0)
+        g = delta + self.sums / self._q_rows
         self.sums += delta
-        flat[slot] = fresh
+        self._flat[slot] = fresh
         return g
 
     def check_sums(self):

@@ -368,6 +368,25 @@ def test_edge_list_rejects_bad_lines():
         graph.Topology.from_edge_list_text("3\n1 2\n")
 
 
+@pytest.mark.parametrize("text", [
+    "3\n1 2 3\n", "3\n1\n", "3\n1 x\n", "3\n1 2.0\n",
+    "three\n1 2\n", "3.0\n1 2\n"], ids=[
+    "three_tokens", "one_token", "letter", "float_token", "word_m", "float_m"])
+def test_edge_list_malformed_line_is_invalid_argument(text):
+    # a wrong token count or a non-integer token or agent count is the
+    # same documented error as an out-of-range edge, not a bare ValueError
+    with pytest.raises(InvalidArgumentError, match="bad"):
+        graph.Topology.from_edge_list_text(text)
+
+
+def test_mixing_matrix_compares_and_hashes_by_identity():
+    t = graph.build_topology("ring", 4, seed=0)
+    a, b = graph.metropolis_weights(t), graph.metropolis_weights(t)
+    assert np.array_equal(a.w, b.w)
+    assert a == a and a != b
+    assert len({a, b, a}) == 2
+
+
 def test_mixing_csv_full_precision():
     t = graph.build_topology("ring", 5, seed=0)
     w = graph.metropolis_weights(t)

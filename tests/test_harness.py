@@ -42,10 +42,12 @@ def per_agent_logistic(m, q_i, n, seed, lam=harness.DEFAULT_LAMBDA):
 def test_gaussian_logistic_matches_per_agent_draws(m, q_i):
     prob = harness.gaussian_logistic_instance(m, q_i, n=4, seed=3)
     lc, lam_m, lip = per_agent_logistic(m, q_i, 4, 3)
-    _, (got_lam_m, got_lc, got_q), _, _ = prob._stack()
+    got_lam_m, got_lc, got_qlc = prob._stack().params
     assert np.array_equal(got_lc, lc)
     assert np.array_equal(np.signbit(got_lc), np.signbit(lc))
-    assert (got_lam_m == lam_m).all() and (got_q == q_i).all()
+    assert np.array_equal(got_qlc, q_i * lc)
+    assert np.array_equal(np.signbit(got_qlc), np.signbit(q_i * lc))
+    assert got_lam_m.shape == (m * q_i, 1) and (got_lam_m == lam_m).all()
     assert prob.mu == lam_m and prob.lip == lip
 
 

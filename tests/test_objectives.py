@@ -1,3 +1,6 @@
+import functools
+import operator
+
 import numpy as np
 import pytest
 from scipy.special import expit
@@ -286,6 +289,12 @@ def component_loop(prob, x):
     return g, v
 
 
+def sum_before_312(values):
+    """Python's ``sum`` of floats as CPython computed it before 3.12: one
+    addition at a time, from 0 (3.12 compensates)."""
+    return functools.reduce(operator.add, values, 0)
+
+
 def closure_loop(prob, x):
     """Aggregate gradient and value of a logistic problem, agent by agent,
     with the arithmetic of a per-agent vectorized oracle: lam_m*x minus
@@ -299,7 +308,7 @@ def closure_loop(prob, x):
         g += lam_m * x - expit(z) @ lc
         soft = np.maximum(z, 0.0) + np.log1p(np.exp(-np.abs(z)))
         values.append(0.5 * lam_m * float(x @ x) + float(soft.sum()))
-    return g / prob.m, sum(values) / prob.m
+    return g / prob.m, sum_before_312(values) / prob.m
 
 
 def test_stacked_aggregate_matches_loop():
@@ -362,6 +371,70 @@ def test_aggregate_of_other_agents_sums_agent_by_agent():
             g, v = component_loop(prob, x)
             assert np.array_equal(prob.aggregate_gradient(x), g)
             assert prob.aggregate_value(x) == v
+
+
+@pytest.mark.parametrize("m,q", [(20, 30), (100, 30), (1000, 10)])
+def test_aggregate_value_equals_the_python_sum_it_replaced(m, q):
+    # the per-agent values as the stacked oracle forms them, summed as
+    # sum(values.tolist()) / m used to sum them
+    prob = harness.gaussian_logistic_instance(m, q, n=4, seed=3)
+    lam_m, lc, _ = prob._stack().params
+    agent_lam = lam_m[prob._stack().offsets, 0]
+    rng = np.random.default_rng(q + m)
+    for _ in range(100):
+        x = rng.standard_normal(4) * 10.0 ** rng.uniform(-8, 1)
+        z = -(lc @ x)
+        soft = np.maximum(z, 0.0) + np.log1p(np.exp(-np.abs(z)))
+        values = 0.5 * agent_lam * float(x @ x) + soft.reshape(m, q).sum(axis=1)
+        got = prob.aggregate_value(x)
+        assert type(got) is float
+        assert got == sum_before_312(values.tolist()) / m
+
+
+def constants_walked_three_times(prob):
+    """mu, lip and the logistic test as three walks over the components."""
+    pairs = [(lo, c) for lo in prob.locals for c in lo.components]
+    return (min(c.mu for _, c in pairs), max(c.lip for _, c in pairs),
+            all(type(c) is LogisticSample and c.q == lo.q
+                and c.lam_m == lo.components[0].lam_m for lo, c in pairs))
+
+
+def test_problem_constants_match_three_walks_on_every_family():
+    rng = np.random.default_rng(8)
+    quad = quadratic_family(2, 3, 3, (1.0, 2.0), seed=1)
+    logi = [objectives.make_logistic_local(rng.standard_normal((4, 3)),
+                                           [1, -1, 1, -1], lam=lam, m=2)
+            for lam in (1.0, 3.0)]
+    odd_q = LocalObjective(components=[
+        LogisticSample(c=rng.standard_normal(3), label=1, lam=1.0, m=2, q=1)
+        for _ in range(3)])
+    odd_lam = LocalObjective(components=[
+        LogisticSample(c=rng.standard_normal(3), label=1, lam=lam, m=2, q=2)
+        for lam in (1.0, 2.0)])
+    problems = {
+        "quadratic": quad,
+        "gaussian_logistic": harness.gaussian_logistic_instance(6, 10, seed=2),
+        "logistic, lam per agent": objectives.ProblemInstance(locals=logi),
+        "localization": harness.localization_instance(
+            m=5, q_i=8, sigma=1.0, seed=4)[0],
+        "kmeans": harness.kmeans_instance(m=3, q_i=6, seed=1),
+        "quadratic then logistic": objectives.ProblemInstance(
+            locals=[quad.locals[0], logi[0]]),
+        "logistic then quadratic": objectives.ProblemInstance(
+            locals=[logi[1], quad.locals[1]]),
+        "component q is not the agent's": objectives.ProblemInstance(
+            locals=[logi[0], odd_q]),
+        "two lam_m in one agent": objectives.ProblemInstance(
+            locals=[logi[0], odd_lam]),
+    }
+    logistic = {"gaussian_logistic", "logistic, lam per agent"}
+    for name, prob in problems.items():
+        mu, lip, is_logistic = constants_walked_three_times(prob)
+        assert (prob.mu, prob.lip) == (mu, lip), name
+        assert (prob._logistic is not None) == is_logistic == (name in logistic)
+        if is_logistic:
+            assert prob._logistic.tolist() == [
+                lo.components[0].lam_m for lo in prob.locals]
 
 
 def test_dimension_mismatch_rejected():
