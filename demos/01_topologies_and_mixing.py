@@ -1,9 +1,10 @@
 """Build network topologies and inspect their mixing matrices.
 
 Shows the three topology kinds, the Metropolis weight construction with
-automatic lazification, and the spectral quantities the convergence
+automatic lazification (each level accepted by a Cholesky positivity test,
+without a decomposition), and the spectral quantities the convergence
 bounds consume: rho_min = lambda_min(W) and rho2(L) for L = I - W, both
-read from the one spectrum of W computed at construction.
+read from the one spectrum of W, computed when first read.
 """
 
 import numpy as np

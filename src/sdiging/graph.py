@@ -1,10 +1,11 @@
 """Undirected topologies, doubly stochastic mixing matrices, spectral data.
 
 Agents are numbered 1..m in ``Topology.edges`` and edge-list files; edge
-arrays and matrices are 0-indexed numpy arrays.  Each mixing matrix's
-spectrum is computed once, at construction; every spectral quantity is
-read from it.  The operator the round multiplies by, dense or CSR, is
-derived once, on first use.
+arrays and matrices are 0-indexed numpy arrays.  A mixing matrix stores
+one form, the operator the round multiplies by (dense or CSR); its
+laziness is chosen by a Cholesky positivity test, without a decomposition.
+Its spectrum is computed only when something reads it, once, and every
+spectral quantity is read from it; the dense ``w`` is derived on demand.
 """
 
 from __future__ import annotations
@@ -23,6 +24,12 @@ _ZERO_EIG_RTOL = 1e-9
 
 # Lazy-blend levels tried, in order, when the raw spectrum is not positive.
 _LAZINESS_LADDER = (0.1, 0.2, 0.3, 0.4, 0.5)
+
+# Rows of one diagonal block in the blocked Cholesky positivity test: a
+# memory bound, not a tuning knob.  Its largest temporary is a 64 x m block
+# (0.5 MB at m = 1000); np.linalg.cholesky of all of W would hold two more
+# m x m copies besides its input.
+_CHOLESKY_ROWS = 64
 
 _GNP_MAX_RETRIES = 1000
 
@@ -93,29 +100,47 @@ class Topology:
 
 @dataclass(frozen=True, eq=False)
 class MixingMatrix:
-    """Symmetric doubly stochastic weight matrix with positive spectrum.
+    """Symmetric doubly stochastic weight matrix with positive spectrum: the
+    Metropolis weights of ``topology`` blended with the identity at
+    ``laziness``.
 
-    Compared and hashed by identity, as ``Topology`` is: its fields are
-    arrays."""
+    ``operator`` is its only stored form and what the round multiplies by:
+    the dense W, or a CSR copy of it when the graph is large and sparse
+    (both give an ndarray from ``@``).  Compared and hashed by identity, as
+    ``Topology`` is: its fields are arrays."""
 
-    w: np.ndarray
-    eig_w: np.ndarray          # sorted ascending
+    operator: object           # np.ndarray or scipy.sparse.csr_array
     laziness: float            # blend level actually used
     topology: Topology
 
+    @classmethod
+    def from_dense(cls, w: np.ndarray, laziness: float,
+                   topology: Topology) -> "MixingMatrix":
+        """Hold the dense ``w`` in the form the round multiplies by.  The
+        spectrum is read from ``topology`` and ``laziness``, not from ``w``."""
+        m = w.shape[0]
+        # CSR iff m >= 200 and nnz <= m^2/20: the measured W@X crossover at n=4
+        if m >= 200 and 20 * np.count_nonzero(w) <= m ** 2:
+            from scipy.sparse import csr_array
+            w = csr_array(w)
+        return cls(operator=w, laziness=laziness, topology=topology)
+
     @property
     def m(self) -> int:
-        return self.w.shape[0]
+        return self.topology.m
+
+    @property
+    def w(self) -> np.ndarray:
+        """The dense W: the operator itself, or a new copy of the CSR form."""
+        op = self.operator
+        return op if isinstance(op, np.ndarray) else op.toarray()
 
     @cached_property
-    def operator(self):
-        """What the round multiplies by: ``w`` itself, or a CSR copy of it
-        when the graph is large and sparse (both give an ndarray from ``@``)."""
-        # CSR iff m >= 200 and nnz <= m^2/20: the measured W@X crossover at n=4
-        if self.m >= 200 and 20 * np.count_nonzero(self.w) <= self.m ** 2:
-            from scipy.sparse import csr_array
-            return csr_array(self.w)
-        return self.w
+    def eig_w(self) -> np.ndarray:
+        """Spectrum of W, ascending: lz + (1 - lz) * eig(W_raw), with W_raw
+        rebuilt from the topology; decomposed once, on first read."""
+        lz = self.laziness
+        return lz + (1.0 - lz) * np.linalg.eigvalsh(_metropolis_raw(self.topology))
 
     @property
     def rho_min(self) -> float:
@@ -227,38 +252,67 @@ def build_topology(kind: str, m: int, p: float | None = None, seed: int = 0) -> 
     raise InvalidArgumentError(f"unknown topology kind {kind!r}")
 
 
-def metropolis_weights(t: Topology, laziness: float = 0.1) -> MixingMatrix:
-    """Metropolis-Hastings mixing matrix, lazily blended with the identity.
-
-    Edge weights are 1/(1 + max(deg_i, deg_j)); the self-weight absorbs the
-    remainder so each row sums to one.  The returned matrix is
-    ``laziness * I + (1 - laziness) * W_raw``.  If the blend still has a
-    non-positive eigenvalue, laziness is raised through 0.1, 0.2, ..., 0.5
-    until the spectrum is strictly positive; the level used is recorded on
-    the result.  An eigenvalue within 1e-9 of zero counts as zero, so that
-    rounding noise about an exact zero cannot decide the level.
-    """
-    if not (0.0 <= laziness < 1.0):
-        raise InvalidArgumentError(f"laziness must be in [0, 1), got {laziness}")
-    if not t.connected:
-        raise InvalidArgumentError("topology is disconnected")
-
+def _metropolis_raw(t: Topology) -> np.ndarray:
+    """Dense Metropolis-Hastings weights of ``t``, before any blend."""
     m = t.m
     deg = t.degrees()
     i, j = t.edge_array.T
     w_raw = np.zeros((m, m))
     w_raw[i, j] = w_raw[j, i] = 1.0 / (1.0 + np.maximum(deg[i], deg[j]))
     np.fill_diagonal(w_raw, 1.0 - w_raw.sum(axis=1))
+    return w_raw
 
-    # The blend's spectrum is lz + (1 - lz) * eig(W_raw), in the same order,
-    # so one decomposition serves every laziness level.
-    eig_raw = np.linalg.eigvalsh(w_raw)
+
+def _positive_definite(a: np.ndarray, scale: float, shift: float) -> bool:
+    """Whether ``scale * a + shift * I`` is positive definite, for a
+    symmetric ``a``, which is overwritten.
+
+    A blocked Cholesky factorization, in place in the lower triangle: each
+    diagonal block of at most _CHOLESKY_ROWS rows is factored, and its
+    Schur complement update is applied to the rows below it.
+    """
+    m, k = len(a), _CHOLESKY_ROWS
+    a *= scale
+    a[np.diag_indices(m)] += shift
+    for s in range(0, m, k):
+        e = s + k
+        try:
+            lead = np.linalg.cholesky(a[s:e, s:e])
+        except np.linalg.LinAlgError:
+            return False
+        if e >= m:
+            return True
+        x = np.linalg.solve(lead, a[e:, s:e].T)     # L^-1 C
+        del lead
+        for r in range(e, m, k):                    # D -= C^T B^-1 C
+            a[r:r + k, e:r + k] -= x[:, r - e:r - e + k].T @ x[:, :r - e + k]
+    return True
+
+
+def metropolis_weights(t: Topology, laziness: float = 0.1) -> MixingMatrix:
+    """Metropolis-Hastings mixing matrix, lazily blended with the identity.
+
+    Edge weights are 1/(1 + max(deg_i, deg_j)); the self-weight absorbs the
+    remainder so each row sums to one.  The returned matrix is
+    ``laziness * I + (1 - laziness) * W_raw``.  A level is accepted when
+    ``(1 - lz) * W_raw + (lz - 1e-9) * I`` is positive definite, that is,
+    when the blend's smallest eigenvalue exceeds 1e-9, so that rounding noise
+    about an exact zero cannot decide the level.  If the requested level
+    fails, laziness is raised through 0.1, 0.2, ..., 0.5; the level used is
+    recorded on the result.  The test is a Cholesky factorization, so no
+    spectrum is computed here: ``MixingMatrix.eig_w`` computes it when read.
+    """
+    if not (0.0 <= laziness < 1.0):
+        raise InvalidArgumentError(f"laziness must be in [0, 1), got {laziness}")
+    if not t.connected:
+        raise InvalidArgumentError("topology is disconnected")
+
     candidates = [laziness] + [lz for lz in _LAZINESS_LADDER if lz > laziness]
     for lz in candidates:
-        eig = lz + (1.0 - lz) * eig_raw
-        if eig[0] > _ZERO_EIG_RTOL:
-            w = w_raw                       # blended in place, bit-identical
-            w *= 1.0 - lz                   # to lz * I + (1 - lz) * w_raw
-            w[np.diag_indices(m)] += lz
-            return MixingMatrix(w=w, eig_w=eig, laziness=lz, topology=t)
+        # the test overwrites its copy of W_raw
+        if _positive_definite(_metropolis_raw(t), 1.0 - lz, lz - _ZERO_EIG_RTOL):
+            w = _metropolis_raw(t)
+            w *= 1.0 - lz                   # blended in place, bit-identical
+            w[np.diag_indices(t.m)] += lz   # to lz * I + (1 - lz) * w_raw
+            return MixingMatrix.from_dense(w, lz, t)
     raise ConstructionFailure("could not make the spectrum positive by laziness 0.5")

@@ -349,6 +349,8 @@ def parse_config(path) -> ExperimentConfig:
     if values.get("rounds", 0) < 1:
         raise ConfigError("algorithm needs rounds >= 1")
     cfg = ExperimentConfig(**values)
+    if not 0 <= cfg.laziness < 1:
+        raise ConfigError("topology needs 0 <= laziness < 1")
     if cfg.record_every is not None and cfg.record_every < 1:
         raise ConfigError("algorithm needs record_every >= 1")
     if cfg.alpha != "auto" and not 0 < cfg.alpha < math.inf:
@@ -430,7 +432,8 @@ def _write_metadata(path: Path, cfg: ExperimentConfig, w: graph.MixingMatrix,
         lines.append(f"config.{key} = {val}")
     lines.append(f"resolved.alpha = {alpha}")
     lines.append(f"resolved.laziness = {w.laziness}")
-    lines.append(f"resolved.mixing = {'dense' if w.operator is w.w else 'csr'}")
+    lines.append("resolved.mixing = "
+                 + ("dense" if isinstance(w.operator, np.ndarray) else "csr"))
     lines.append(f"resolved.gnp_retries = {w.topology.retries}")
     lines.append(f"problem.mu = {problem.mu}")
     lines.append(f"problem.lip = {problem.lip}")

@@ -3,7 +3,7 @@ import sys
 
 import pytest
 
-from sdiging import cli, harness
+from sdiging import cli, graph, harness
 from sdiging.errors import ReferenceFailure
 
 QUAD_CONFIG = """\
@@ -144,6 +144,21 @@ def test_alpha_not_finite_positive_fails_before_set_up(tmp_path, capsys,
     assert rc == cli.EXIT_CONFIG
     assert "config_error: algorithm needs alpha = auto or a finite alpha > 0" \
         in capsys.readouterr().err
+    assert not any(tmp_path.glob("t.*"))
+
+
+@pytest.mark.parametrize("laziness", ["1.0", "-0.1", "nan"])
+def test_laziness_outside_unit_interval_fails_before_set_up(
+        tmp_path, capsys, monkeypatch, laziness):
+    def build(*args, **kwargs):
+        raise AssertionError("topology built")
+
+    monkeypatch.setattr(graph, "build_topology", build)
+    text = QUAD_CONFIG.replace("m = 4\n", f"m = 4\nlaziness = {laziness}\n")
+    rc = cli.main(["run", write(tmp_path, text, alpha="0.01", rounds=10)])
+    assert rc == cli.EXIT_CONFIG
+    assert "config_error: topology needs 0 <= laziness < 1" in \
+        capsys.readouterr().err
     assert not any(tmp_path.glob("t.*"))
 
 

@@ -206,8 +206,7 @@ def test_spectral_m2_analytic():
     # 2x2 analytic case: for W = [[.5,.5],[.5,.5]], L has eigenvalues {0, 1}.
     t = graph.build_topology("complete", 2, seed=0)
     w_half = np.full((2, 2), 0.5)
-    w = graph.MixingMatrix(w=w_half, eig_w=np.linalg.eigvalsh(w_half),
-                           laziness=0.0, topology=t)
+    w = graph.MixingMatrix.from_dense(w_half, laziness=0.0, topology=t)
     assert np.allclose(np.linalg.eigvalsh(np.eye(2) - w.w), [0.0, 1.0],
                        atol=1e-14)
     assert w.rho2_l ** 2 == pytest.approx(1.0, abs=1e-14)
@@ -241,14 +240,13 @@ def test_rho2_rejects_two_zero_laplacian_eigenvalues():
     half = np.full((2, 2), 0.5)
     w_two = np.block([[half, np.zeros((2, 2))], [np.zeros((2, 2)), half]])
     t = graph.Topology(m=4, edge_array=np.array([[0, 1], [2, 3]]))
-    w = graph.MixingMatrix(w=w_two, eig_w=np.linalg.eigvalsh(w_two),
-                           laziness=0.0, topology=t)
+    w = graph.MixingMatrix.from_dense(w_two, laziness=0.0, topology=t)
     with pytest.raises(InvalidArgumentError):
         w.rho2_l
 
 
-def reference_metropolis(t, laziness):
-    """Per-edge weights, and one full decomposition of each blend tried."""
+def reference_raw(t):
+    """Per-edge Metropolis weights W_raw, and the degrees."""
     m = t.m
     deg = [0] * m
     for i, j in t.edges:
@@ -260,6 +258,13 @@ def reference_metropolis(t, laziness):
         w_raw[i - 1, j - 1] = wij
         w_raw[j - 1, i - 1] = wij
     np.fill_diagonal(w_raw, 1.0 - w_raw.sum(axis=1))
+    return w_raw, deg
+
+
+def reference_metropolis(t, laziness):
+    """Per-edge weights, and one full decomposition of each blend tried."""
+    m = t.m
+    w_raw, deg = reference_raw(t)
     for lz in [laziness] + [z for z in (0.1, 0.2, 0.3, 0.4, 0.5) if z > laziness]:
         w = lz * np.eye(m) + (1.0 - lz) * w_raw
         if np.linalg.eigvalsh(w)[0] > 1e-9:
@@ -285,6 +290,38 @@ def test_metropolis_matches_per_edge_reference(kind, m, p, seed):
         assert abs(w.rho2_l - rho2_ref) < 1e-12
 
 
+def reference_laziness(t, laziness):
+    """The eigenvalue ladder on one decomposition of W_raw: the first level
+    lz whose blend has lz + (1 - lz) * lambda_min(W_raw) > 1e-9."""
+    lam_min = np.linalg.eigvalsh(reference_raw(t)[0])[0]
+    for lz in [laziness] + [z for z in (0.1, 0.2, 0.3, 0.4, 0.5) if z > laziness]:
+        if lz + (1.0 - lz) * lam_min > 1e-9:
+            return lz
+    raise AssertionError("no positive blend")
+
+
+@pytest.mark.parametrize("kind, m, p, seed", [
+    ("ring", 2, None, 0), ("ring", 3, None, 0), ("ring", 4, None, 0),
+    ("ring", 7, None, 0), ("ring", 64, None, 0), ("ring", 513, None, 0),
+    ("ring", 600, None, 0), ("complete", 2, None, 0), ("complete", 3, None, 0),
+    ("complete", 10, None, 0), ("complete", 100, None, 0),
+    ("complete", 513, None, 0), ("complete", 600, None, 0),
+    ("random_gnp", 5, 0.5, 6), ("random_gnp", 12, 0.3, 1),
+    ("random_gnp", 20, 0.4, 3), ("random_gnp", 50, 0.1, 1),
+    ("random_gnp", 200, 0.05, 2), ("random_gnp", 300, 0.03, 0),
+    ("random_gnp", 520, 0.02, 1), ("random_gnp", 600, 0.02, 3),
+    ("random_gnp", 1000, 0.02, 3)])
+def test_cholesky_laziness_matches_eigenvalue_ladder(kind, m, p, seed):
+    # Beyond 64 agents the test factors 64-row blocks, each followed by its
+    # Schur complement update, with a shorter last block at m = 513, 520,
+    # 600 and 1000.  An even ring at 0.25 and a complete graph at 0 have an
+    # exact zero eigenvalue in the blend, which must not pass.
+    t = graph.build_topology(kind, m, p=p, seed=seed)
+    for laziness in (0.0, 0.1, 0.25):
+        got = graph.metropolis_weights(t, laziness=laziness).laziness
+        assert got == reference_laziness(t, laziness)
+
+
 @pytest.mark.parametrize("kind, m, p, seed, laziness, lifted_to", [
     ("complete", 3, None, 0, 0.0, 0.1), ("ring", 10, None, 0, 0.25, 0.3),
     ("random_gnp", 5, 0.5, 6, 0.1, 0.3)])
@@ -300,13 +337,18 @@ def test_exact_zero_eigenvalue_lifts_laziness(kind, m, p, seed, laziness,
 
 
 def test_metropolis_decomposes_once(monkeypatch):
-    # ring(4) climbs the ladder from 0.0 to 0.3 on one decomposition.
+    # ring(4) climbs the ladder from 0.0 to 0.3 without a decomposition; the
+    # spectrum is decomposed on its first read and kept.
     calls = []
     eigvalsh = np.linalg.eigvalsh
     monkeypatch.setattr(np.linalg, "eigvalsh",
                         lambda a: calls.append(1) or eigvalsh(a))
     w = graph.metropolis_weights(graph.build_topology("ring", 4), laziness=0.0)
     assert w.laziness == 0.3
+    assert len(calls) == 0
+    first = w.eig_w
+    assert len(calls) == 1
+    assert w.eig_w is first
     assert len(calls) == 1
 
 
@@ -324,8 +366,14 @@ def test_operator_is_csr_only_when_large_and_sparse(kind, m, p, seed, csr):
         return
     from scipy.sparse import csr_array
     assert isinstance(w.operator, csr_array)
-    assert np.array_equal(w.operator.toarray(), w.w)
+    ref = csr_array(reference_metropolis(w.topology, w.laziness)[0])
+    for part in ("indptr", "indices", "data"):
+        assert np.array_equal(getattr(w.operator, part), getattr(ref, part))
+    assert np.array_equal(w.w, ref.toarray())
     assert w.operator.nnz == np.count_nonzero(w.w)
+    # the CSR is the matrix's only stored form
+    assert not any(isinstance(v, np.ndarray) and v.ndim == 2
+                   for v in vars(w).values())
 
 
 @pytest.mark.parametrize("m, nnz, csr", [
@@ -335,8 +383,8 @@ def test_operator_rule_boundary(m, nnz, csr):
     a = np.zeros(m * m)
     a[:nnz] = 1.0
     edgeless = graph.Topology(m=m, edge_array=np.empty((0, 2), int))
-    w = graph.MixingMatrix(w=a.reshape(m, m), eig_w=np.ones(m), laziness=0.0,
-                           topology=edgeless)
+    w = graph.MixingMatrix.from_dense(a.reshape(m, m), laziness=0.0,
+                                      topology=edgeless)
     assert (w.operator is not w.w) == csr
 
 

@@ -524,3 +524,75 @@ def test_compare_rejects_unknown_algorithm_before_running(tmp_path, monkeypatch)
     with pytest.raises(ConfigError, match="bogus"):
         harness.compare_algorithms(cfg, ["diging", "bogus"], target=-3.0)
     assert runs == []
+
+
+# m1000_compare's experiment: G(1000, 0.02) mixes through CSR, and the
+# explicit alpha needs no certificate.
+M1000_COMPARE_CONFIG = """\
+[problem]
+family = gaussian_logistic
+q = 10
+n = 4
+seed = 3
+
+[topology]
+kind = random_gnp
+m = 1000
+p = 0.02
+seed = 3
+
+[algorithm]
+name = sdiging
+alpha = 0.02
+rounds = 30
+seed = 11
+"""
+
+
+def compare_m1000(tmp_path):
+    cfg = harness.parse_config(write_config(tmp_path, M1000_COMPARE_CONFIG))
+    rows = harness.compare_algorithms(cfg, ["sdiging", "primal_dual"],
+                                      target=0.4)
+    assert [r.rounds_to_target for r in rows] == [27, 27]
+
+
+def test_compare_with_explicit_alpha_decomposes_nothing(tmp_path, monkeypatch):
+    def eigvalsh(a):
+        raise AssertionError("eigvalsh called")
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", eigvalsh)
+    compare_m1000(tmp_path)
+
+
+def test_csr_mixing_holds_no_dense_matrix(tmp_path, monkeypatch):
+    built = []
+    build_mixing = harness.build_mixing
+    monkeypatch.setattr(harness, "build_mixing",
+                        lambda cfg: built.append(build_mixing(cfg)) or built[-1])
+    compare_m1000(tmp_path)
+    (w,) = built
+    held = list(vars(w).values()) + [vars(w.operator).get(k) for k in
+                                     ("data", "indices", "indptr")]
+    assert not any(isinstance(v, np.ndarray) and v.ndim == 2 for v in held)
+
+
+def test_compare_runs_build_no_csr(tmp_path, monkeypatch):
+    from scipy.sparse import csr_array
+    in_run, built = [], []
+    init, run = csr_array.__init__, engine.run
+
+    def counting_init(self, *args, **kwargs):
+        built.extend(in_run)
+        init(self, *args, **kwargs)
+
+    def watched_run(*args, **kwargs):
+        in_run.append(args[0])
+        try:
+            return run(*args, **kwargs)
+        finally:
+            in_run.clear()
+
+    monkeypatch.setattr(csr_array, "__init__", counting_init)
+    monkeypatch.setattr(engine, "run", watched_run)
+    compare_m1000(tmp_path)
+    assert built == []
