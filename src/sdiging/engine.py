@@ -55,7 +55,7 @@ class NetworkState:
 def make_tables(problem: ProblemInstance, seed: int) -> GradientTables:
     """One gradient table per agent, every slot evaluated at x = 0, streams
     keyed by (seed, agent index)."""
-    q = np.array([lo.q for lo in problem.locals])
+    q = problem.q
     x0 = np.zeros((problem.m, problem.dim))
     grads = np.zeros((problem.m, problem.q_max, problem.dim))
     for h in range(problem.q_max):
@@ -354,8 +354,7 @@ def run(algorithm: str, problem: ProblemInstance, w: MixingMatrix, alpha: float,
 
     tables = None if algorithm == "diging" else make_tables(problem, seed)
     state = init_state(algorithm, problem, tables)
-    per_round = problem.m if tables is not None \
-        else sum(lo.q for lo in problem.locals)
+    per_round = problem.m if tables is not None else int(problem.q.sum())
     evals = per_round
 
     trace = RunTrace()

@@ -60,7 +60,9 @@ class Topology:
     @cached_property
     def connected(self) -> bool:
         """Whether the edges join all m agents; checked once per topology."""
-        return _is_connected(self.m, (self.edge_array + 1).tolist())
+        # plain int pairs: one list per edge would be thousands of
+        # GC-tracked objects
+        return _is_connected(self.m, zip(*(self.edge_array + 1).T.tolist()))
 
     def degrees(self):
         """Degree of each agent as an int array indexed 0..m-1."""
@@ -116,13 +118,13 @@ class MixingMatrix:
     @classmethod
     def from_dense(cls, w: np.ndarray, laziness: float,
                    topology: Topology) -> "MixingMatrix":
-        """Hold the dense ``w`` in the form the round multiplies by.  The
-        spectrum is read from ``topology`` and ``laziness``, not from ``w``."""
-        m = w.shape[0]
+        """Hold the dense ``w``, a blend of ``topology``'s Metropolis weights,
+        in the form the round multiplies by.  The spectrum is read from
+        ``topology`` and ``laziness``, not from ``w``."""
+        m = topology.m
         # CSR iff m >= 200 and nnz <= m^2/20: the measured W@X crossover at n=4
-        if m >= 200 and 20 * np.count_nonzero(w) <= m ** 2:
-            from scipy.sparse import csr_array
-            w = csr_array(w)
+        if m >= 200 and 20 * (2 * len(topology.edge_array) + m) <= m ** 2:
+            w = _csr(w, topology)
         return cls(operator=w, laziness=laziness, topology=topology)
 
     @property
@@ -166,6 +168,26 @@ class MixingMatrix:
         buf = io.StringIO()
         np.savetxt(buf, self.w, fmt="%.17g", delimiter=",")
         return buf.getvalue()
+
+
+def _csr(w: np.ndarray, t: Topology):
+    """``csr_array(w)`` for a blend ``w`` of ``t``'s Metropolis weights,
+    read at the 2k + m places where it is nonzero: every edge, both ways,
+    and the diagonal, instead of scanning all m^2 entries."""
+    from scipy.sparse import csr_array
+    i, j = t.edge_array.T
+    diag = np.arange(t.m)
+    # the (j, i) entries come row-unsorted but with each row's columns
+    # ascending, the (i, j) entries sorted: a stable sort by row orders
+    # every row's columns below, on and above the diagonal
+    rows = np.concatenate([j, diag, i])
+    cols = np.concatenate([i, diag, j])
+    order = np.argsort(rows, kind="stable")
+    rows, cols = rows[order], cols[order]
+    indptr = np.zeros(t.m + 1, dtype=np.int32)
+    np.cumsum(np.bincount(rows, minlength=t.m), out=indptr[1:])
+    return csr_array((w[rows, cols], cols.astype(np.int32), indptr),
+                     shape=w.shape)
 
 
 def _sorted_pairs(pairs) -> np.ndarray:

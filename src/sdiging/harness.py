@@ -31,7 +31,6 @@ from sdiging.objectives import (
     LocalObjective,
     ProblemInstance,
     Quadratic,
-    make_logistic_local,
 )
 
 DEFAULT_LAMBDA = 1.0          # logistic regularizer when the config is silent
@@ -51,17 +50,17 @@ def gaussian_logistic_instance(m: int, q_i: int, n: int = 4, seed: int = 0,
     Class +1 features are drawn around (+2,...,+2,-2,...,-2) and class -1
     around the negated mean, both with covariance 2I.
     """
-    if q_i % 2 != 0:
-        raise InvalidArgumentError(f"q_i must be even (half per class), got {q_i}")
+    if q_i <= 0 or q_i % 2 != 0:
+        raise InvalidArgumentError(
+            f"q_i must be positive and even (half per class), got {q_i}")
     mean = np.array([2.0] * math.ceil(n / 2) + [-2.0] * (n // 2))
     rng = np.random.default_rng([seed & 0xFFFFFFFFFFFFFFFF, 0x106])
     half = q_i // 2
     # agent by agent, class +1 then class -1: the order of one draw per block
     noise = rng.normal(scale=np.sqrt(2.0), size=(m, 2, half, n))
-    feats = (np.stack([mean, -mean])[:, None, :] + noise).reshape(m, q_i, n)
-    labels = np.repeat([1, -1], half)
-    return ProblemInstance(locals=[make_logistic_local(f, labels, lam=lam, m=m)
-                                   for f in feats])
+    feats = (np.stack([mean, -mean])[:, None, :] + noise).reshape(m * q_i, n)
+    labels = np.tile(np.repeat([1, -1], half), m)
+    return ProblemInstance.logistic(feats, labels, lam=lam, m=m)
 
 
 def localization_instance(m: int = 50, q_i: int = 100, field_size: float = 100.0,
@@ -233,7 +232,7 @@ def reference_solution(problem: ProblemInstance, seed: int = 0,
     key = (seed, tol, max_oracle)
     if key in cache:
         return cache[key]
-    if isinstance(problem.locals[0].components[0], KMeansPoint):
+    if problem.kind is KMeansPoint:
         sol = _lloyd_reference(problem, seed=seed)
     else:
         x0 = problem.known_optimum.copy() if problem.known_optimum is not None \
@@ -359,6 +358,12 @@ def parse_config(path) -> ExperimentConfig:
         raise ConfigError("algorithm needs a finite epsilon > 0")
     if cfg.sigma is not None and not cfg.sigma >= 0:
         raise ConfigError("problem needs sigma >= 0")
+    for (section, key), f in _FIELDS.items():
+        if section == "problem" and f.metadata["convert"] is float \
+                and not math.isfinite(values.get(f.name, 0.0)):
+            raise ConfigError(f"problem needs a finite {key}")
+    if cfg.family == "quadratic" and not 0 < cfg.mu_target <= cfg.lip_target:
+        raise ConfigError("problem needs 0 < mu <= lip")
     return cfg
 
 
@@ -375,12 +380,7 @@ def build_problem(cfg: ExperimentConfig) -> ProblemInstance:
         total = labels.shape[0]
         if total % cfg.m != 0:
             raise ConfigError(f"{total} samples do not divide across {cfg.m} agents")
-        q = total // cfg.m
-        locals_ = [make_logistic_local(feats[i * q:(i + 1) * q],
-                                       labels[i * q:(i + 1) * q],
-                                       lam=cfg.lam, m=cfg.m)
-                   for i in range(cfg.m)]
-        return ProblemInstance(locals=locals_)
+        return ProblemInstance.logistic(feats, labels, lam=cfg.lam, m=cfg.m)
     if cfg.family == "localization":
         problem, _ = localization_instance(
             m=cfg.m, q_i=cfg.q, field_size=cfg.field_size, a=cfg.a,

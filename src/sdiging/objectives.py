@@ -13,7 +13,7 @@ the round does not form it again.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, NamedTuple
 
 import numpy as np
@@ -271,9 +271,13 @@ class StackedParams(NamedTuple):
     split: np.ndarray | None
 
 
-@dataclass
 class ProblemInstance:
     """One problem shared by m agents, with aggregate constants.
+
+    Built from per-agent ``LocalObjective``s, or as stacked arrays by
+    ``ProblemInstance.logistic``, which makes its ``locals`` only when they
+    are read.  ``q`` holds each agent's component count and ``kind`` the
+    one component class (None for a mix).
 
     ``component_gradients``, ``drawn_gradients`` and ``local_gradients``
     evaluate one gradient per agent at the rows of a stacked m x n iterate.
@@ -283,51 +287,89 @@ class ProblemInstance:
     by agent.
     """
 
-    locals: list
-    known_optimum: np.ndarray | None = None
-    q_min: int = field(init=False)
-    q_max: int = field(init=False)
-    mu: float = field(init=False)
-    lip: float = field(init=False)
-    _stacked: StackedParams | None = field(default=None, init=False,
-                                           repr=False, compare=False)
-
-    def __post_init__(self):
-        dims = {lo.dim for lo in self.locals}
+    def __init__(self, locals: list, known_optimum: np.ndarray | None = None):
+        self._locals, self.known_optimum = locals, known_optimum
+        self._stacked = None
+        dims = {lo.dim for lo in locals}
         if len(dims) != 1:
             raise InvalidArgumentError(f"agents disagree on dimension: {dims}")
-        qs = [lo.q for lo in self.locals]
+        self.dim = dims.pop()
+        qs = [lo.q for lo in locals]
+        self.q = np.array(qs)
         self.q_min, self.q_max = min(qs), max(qs)
         # One pass over the components for mu, lip (as min and max take
-        # them) and the logistic test: LogisticSample.local_*_at hold for
-        # agents as make_logistic_local builds them, and _logistic then
-        # holds each agent's lam_m; any other problem (None) keeps the
-        # per-agent sum.
-        c0 = self.locals[0].components[0]
-        mu, lip, lam = c0.mu, c0.lip, []
-        for lo, q in zip(self.locals, qs):
+        # them), the component class and the logistic test:
+        # LogisticSample.local_*_at hold for agents as make_logistic_local
+        # builds them, and _logistic then holds each agent's lam_m; any
+        # other problem (None) keeps the per-agent sum.
+        c0 = locals[0].components[0]
+        kind, mu, lip, lam = type(c0), c0.mu, c0.lip, []
+        for lo, q in zip(locals, qs):
             head = lo.components[0]
             for c in lo.components:
                 if c.mu < mu:
                     mu = c.mu
                 if c.lip > lip:
                     lip = c.lip
-                if lam is not None and not (type(c) is LogisticSample
+                if type(c) is not kind:
+                    kind = None
+                if lam is not None and not (kind is LogisticSample
                                             and c.q == q
                                             and c.lam_m == head.lam_m):
                     lam = None
             if lam is not None:
                 lam.append(head.lam_m)
-        self.mu, self.lip = mu, lip
+        self.kind, self.mu, self.lip = kind, mu, lip
         self._logistic = None if lam is None else np.array(lam)
+
+    @classmethod
+    def logistic(cls, features, labels, lam: float, m: int) -> "ProblemInstance":
+        """The instance of ``make_logistic_local`` on each of m equal,
+        consecutive slices of the labelled rows, built as stacked arrays
+        with the same bits; its ``locals`` are made when first read."""
+        features = np.asarray(features, dtype=float)
+        labels = np.asarray(labels, dtype=int)
+        if not 0 < lam < np.inf:
+            raise InvalidArgumentError(
+                f"regularizer must be finite and positive, got {lam}")
+        if not np.isin(labels, (-1, 1)).all():
+            raise InvalidArgumentError("labels must be -1 or +1")
+        if features.ndim != 2 or features.shape[0] != labels.shape[0]:
+            raise InvalidArgumentError("need one label per row of features")
+        q = len(labels) // m if m >= 1 else 0
+        if q < 1 or q * m != len(labels):
+            raise InvalidArgumentError(
+                f"{len(labels)} samples do not split into {m} agents")
+        self = cls.__new__(cls)
+        self._locals, self._rows = None, (features, labels, lam)
+        self.known_optimum, self.kind = None, LogisticSample
+        self.dim, self.q_min, self.q_max = features.shape[1], q, q
+        self.q, lam_m = np.full(m, q), lam / m
+        lc = np.where(labels[:, None] == 1, features, -features)  # l*c, bit for bit
+        # every row's c.c at once, rounded as c.dot(c) rounds it
+        dots = (features[:, None, :] @ features[:, :, None])[:, 0, 0]
+        self.mu, self.lip = lam_m, float((lam_m + q * dots / 4.0).max())
+        self._logistic = np.full(m, lam_m)
+        offsets = q * np.arange(m)
+        self._stacked = StackedParams(
+            LogisticSample.stacked_gradient,
+            [np.full((len(lc), 1), lam_m), lc, float(q) * lc],
+            offsets, self.q, offsets - 1, None)
+        return self
+
+    @property
+    def locals(self) -> list:
+        """One ``LocalObjective`` per agent."""
+        if self._locals is None:
+            features, labels, lam = self._rows
+            self._locals = [
+                make_logistic_local(f, lab, lam=lam, m=self.m) for f, lab in
+                zip(np.split(features, self.m), np.split(labels, self.m))]
+        return self._locals
 
     @property
     def m(self) -> int:
-        return len(self.locals)
-
-    @property
-    def dim(self) -> int:
-        return self.locals[0].dim
+        return len(self.q)
 
     def aggregate_value(self, x):
         """Value of the average objective (1/m) sum_i f_i at a single point."""
@@ -352,17 +394,15 @@ class ProblemInstance:
     def _stack(self) -> StackedParams:
         if self._stacked is None:
             comps = [c for lo in self.locals for c in lo.components]
-            kinds = {type(c) for c in comps}
-            if len(kinds) != 1:
+            if self.kind is None:
                 raise InvalidArgumentError(
                     "a problem must use one component class, got "
-                    f"{sorted(k.__name__ for k in kinds)}")
-            kind = kinds.pop()
-            q = np.array([lo.q for lo in self.locals])
+                    f"{sorted({type(c).__name__ for c in comps})}")
+            q = self.q
             offsets = np.cumsum(q) - q
             self._stacked = StackedParams(
-                kind.stacked_gradient, kind.stack_params(comps), offsets, q,
-                offsets - 1, None if (q == q[0]).all() else offsets)
+                self.kind.stacked_gradient, self.kind.stack_params(comps),
+                offsets, q, offsets - 1, None if (q == q[0]).all() else offsets)
         return self._stacked
 
     def component_gradients(self, x, h):

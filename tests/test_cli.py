@@ -3,7 +3,7 @@ import sys
 
 import pytest
 
-from sdiging import cli, graph, harness
+from sdiging import cli, graph, harness, objectives
 from sdiging.errors import ReferenceFailure
 
 QUAD_CONFIG = """\
@@ -160,6 +160,63 @@ def test_laziness_outside_unit_interval_fails_before_set_up(
     assert "config_error: topology needs 0 <= laziness < 1" in \
         capsys.readouterr().err
     assert not any(tmp_path.glob("t.*"))
+
+
+LOGISTIC_PROBLEM = "family = gaussian_logistic\nq = 4\nn = 2\nseed = 1\n"
+
+
+@pytest.mark.parametrize("family, key, value", [
+    ("gaussian_logistic", "lam", "nan"), ("gaussian_logistic", "lam", "inf"),
+    ("localization", "theta", "nan"), ("localization", "field_size", "nan"),
+    ("localization", "a", "nan"), ("localization", "sigma", "inf"),
+    ("quadratic", "mu", "nan"), ("quadratic", "lip", "nan")])
+def test_non_finite_problem_value_fails_before_set_up(
+        tmp_path, capsys, monkeypatch, family, key, value):
+    # build_topology raising bounds the wall time: at lam = nan the reference
+    # solve used to spin through its whole oracle budget
+    def build(*args, **kwargs):
+        raise AssertionError("topology built")
+
+    monkeypatch.setattr(graph, "build_topology", build)
+    text = {"quadratic": QUAD_CONFIG,
+            "gaussian_logistic": QUAD_CONFIG.replace(
+                "family = quadratic\nq = 3\nn = 2\nseed = 1\n", LOGISTIC_PROBLEM),
+            "localization": LOCALIZATION_CONFIG}[family]
+    text = text.replace("sigma = 0.0\n", "").replace(
+        "[problem]\n", f"[problem]\n{key} = {value}\n")
+    rc = cli.main(["run", write(tmp_path, text, alpha="0.01", rounds=10)])
+    assert rc == cli.EXIT_CONFIG
+    assert f"config_error: problem needs a finite {key}\n" in \
+        capsys.readouterr().err
+
+
+@pytest.mark.parametrize("mu, lip", [("3", "2"), ("0", "2"), ("-1", "2")])
+def test_quadratic_mu_lip_out_of_order_fails_before_set_up(
+        tmp_path, capsys, monkeypatch, mu, lip):
+    def build(*args, **kwargs):
+        raise AssertionError("topology built")
+
+    monkeypatch.setattr(graph, "build_topology", build)
+    text = QUAD_CONFIG.replace("[problem]\n", f"[problem]\nmu = {mu}\nlip = {lip}\n")
+    rc = cli.main(["run", write(tmp_path, text, alpha="0.01", rounds=10)])
+    assert rc == cli.EXIT_CONFIG
+    assert "config_error: problem needs 0 < mu <= lip" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", [
+    ["run"], ["certify"], ["compare", "--algos", "diging,sdiging,primal_dual",
+                           "--target", "-3"]])
+def test_logistic_commands_build_no_component_objects(
+        tmp_path, monkeypatch, capsys, command):
+    def init(self, *args, **kwargs):
+        raise AssertionError("LogisticSample constructed")
+
+    monkeypatch.setattr(objectives.LogisticSample, "__init__", init)
+    text = QUAD_CONFIG.replace("family = quadratic\nq = 3\nn = 2\nseed = 1\n",
+                               LOGISTIC_PROBLEM)
+    path = write(tmp_path, text, alpha="auto", rounds=20)
+    rc = cli.main(["--quiet", command[0], path, *command[1:]])
+    assert rc == cli.EXIT_OK, capsys.readouterr().err
 
 
 def test_percent_in_a_value_is_literal(tmp_path, capsys):

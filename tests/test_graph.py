@@ -376,16 +376,37 @@ def test_operator_is_csr_only_when_large_and_sparse(kind, m, p, seed, csr):
                    for v in vars(w).values())
 
 
-@pytest.mark.parametrize("m, nnz, csr", [
-    (199, 199, False), (200, 2000, True), (200, 2001, False)])
-def test_operator_rule_boundary(m, nnz, csr):
-    # CSR iff m >= 200 and nnz <= m^2/20; only the pattern of w matters
-    a = np.zeros(m * m)
-    a[:nnz] = 1.0
-    edgeless = graph.Topology(m=m, edge_array=np.empty((0, 2), int))
-    w = graph.MixingMatrix.from_dense(a.reshape(m, m), laziness=0.0,
-                                      topology=edgeless)
+@pytest.mark.parametrize("m, edges, csr", [
+    (199, 199, False), (200, 900, True), (200, 901, False)])
+def test_operator_rule_boundary(m, edges, csr):
+    # CSR iff m >= 200 and nnz <= m^2/20, with nnz = 2 * edges + m: 2000 of
+    # 40000 at 900 edges, 2002 at 901.  The first pairs in lexicographic
+    # order join agent 1 to every other agent, so the graph is connected.
+    pairs = np.column_stack(np.triu_indices(m, 1))[:edges]
+    w = graph.metropolis_weights(graph.Topology(m=m, edge_array=pairs))
+    assert np.count_nonzero(w.w) == 2 * edges + m
     assert (w.operator is not w.w) == csr
+
+
+@pytest.mark.parametrize("kind, m, p, seed", [
+    ("ring", 200, None, 0), ("ring", 1001, None, 0), ("complete", 200, None, 0),
+    ("random_gnp", 200, 0.1, 3), ("random_gnp", 1000, 0.02, 3)])
+def test_csr_from_topology_equals_csr_array(kind, m, p, seed):
+    # at level 0 and at the level the ladder raises it to (every graph here
+    # needs a lift); the complete graph is held dense, so its CSR is built
+    # here only to check the assembly
+    t = graph.build_topology(kind, m, p=p, seed=seed)
+    w_raw = reference_raw(t)[0]
+    lifted = reference_metropolis(t, 0.0)[1]
+    assert lifted > 0.0
+    from scipy.sparse import csr_array
+    for lz in (0.0, lifted):
+        w = lz * np.eye(m) + (1.0 - lz) * w_raw
+        got, ref = graph._csr(w, t), csr_array(w)
+        assert got.nnz == 2 * len(t.edge_array) + m
+        for part in ("indptr", "indices", "data"):
+            a, b = getattr(got, part), getattr(ref, part)
+            assert a.dtype == b.dtype and np.array_equal(a, b), part
 
 
 def test_eigendecomposition_reconstruction():

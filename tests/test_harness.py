@@ -4,9 +4,9 @@ import math
 import numpy as np
 import pytest
 
-from sdiging import engine, harness
+from sdiging import engine, harness, objectives
 from sdiging.errors import ConfigError, InvalidArgumentError, ReferenceFailure
-from sdiging.objectives import quadratic_family
+from sdiging.objectives import ProblemInstance, make_logistic_local, quadratic_family
 
 
 # ---------------------------------------------------------------------------
@@ -54,6 +54,84 @@ def test_gaussian_logistic_matches_per_agent_draws(m, q_i):
 def test_gaussian_logistic_rejects_odd_q():
     with pytest.raises(InvalidArgumentError):
         harness.gaussian_logistic_instance(m=2, q_i=5, seed=0)
+
+
+@pytest.mark.parametrize("q_i, lam", [(0, 1.0), (-2, 1.0), (4, 0.0), (4, -1.0),
+                                      (4, float("nan")), (4, float("inf"))])
+def test_gaussian_logistic_rejects_nonpositive_q_or_bad_lam(q_i, lam):
+    with pytest.raises(InvalidArgumentError):
+        harness.gaussian_logistic_instance(m=2, q_i=q_i, seed=0, lam=lam)
+
+
+@pytest.mark.parametrize("rows, labels, m", [
+    (4, [1, -1, 0, 1], 2), (3, [1, -1, 1], 2), (0, [], 2), (2, [1, -1], 0),
+    (3, [1, -1], 2)])
+def test_logistic_arrays_reject_bad_labels_or_split(rows, labels, m):
+    with pytest.raises(InvalidArgumentError):
+        ProblemInstance.logistic(np.ones((rows, 2)), labels, 1.0, m)
+
+
+def component_built(features, labels, lam, m):
+    """The instance as one LogisticSample per row, agent by agent."""
+    return ProblemInstance(locals=[
+        make_logistic_local(f, lab, lam=lam, m=m)
+        for f, lab in zip(np.split(features, m), np.split(labels, m))])
+
+
+def assert_same_logistic_instance(got, want):
+    """Bit for bit: stacked parameters and their dtypes, constants, the
+    reference solution and the components ``locals`` makes on demand."""
+    sg, sw = got._stack(), want._stack()
+    for a, b in zip(sg.params + [sg.offsets, sg.q, sg.first],
+                    sw.params + [sw.offsets, sw.q, sw.first]):
+        assert a.dtype == b.dtype and a.shape == b.shape
+        assert np.array_equal(a, b) and np.array_equal(np.signbit(a), np.signbit(b))
+    assert sg.grad is sw.grad and sg.split is None and sw.split is None
+    for key in ("mu", "lip", "q_min", "q_max", "m", "dim", "kind"):
+        assert type(getattr(got, key)) is type(getattr(want, key)), key
+        assert getattr(got, key) == getattr(want, key), key
+    assert np.array_equal(got._logistic, want._logistic)
+    rg, rw = harness.reference_solution(got), harness.reference_solution(want)
+    assert np.array_equal(rg.x, rw.x) and rg.oracle_calls == rw.oracle_calls
+    assert len(got.locals) == len(want.locals)
+    for lg, lw in zip(got.locals, want.locals):
+        assert lg.q == lw.q
+        for cg, cw in zip(lg.components, lw.components):
+            assert np.array_equal(cg.c, cw.c) and np.array_equal(cg._lc, cw._lc)
+            assert (cg.label, cg.lam_m, cg.q, cg.mu, cg.lip, cg.dim) == \
+                (cw.label, cw.lam_m, cw.q, cw.mu, cw.lip, cw.dim)
+
+
+@pytest.mark.parametrize("m, q_i, n, lam", [
+    (6, 10, 4, 1.0), (20, 30, 4, 1.0), (1000, 10, 4, 1.0), (7, 4, 5, 0.3),
+    (3, 2, 33, 2.5), (50, 6, 1, 1e-3), (5, 8, 7, 4.0)])
+def test_gaussian_logistic_arrays_equal_component_build(m, q_i, n, lam):
+    prob = harness.gaussian_logistic_instance(m, q_i, n=n, seed=3, lam=lam)
+    mean = np.array([2.0] * math.ceil(n / 2) + [-2.0] * (n // 2))
+    rng = np.random.default_rng([3, 0x106])
+    feats, labels = [], []
+    for _ in range(m):
+        for label in (1, -1):
+            feats.append(label * mean + rng.normal(scale=np.sqrt(2.0),
+                                                   size=(q_i // 2, n)))
+            labels += [label] * (q_i // 2)
+    assert_same_logistic_instance(
+        prob, component_built(np.vstack(feats), np.array(labels), lam, m))
+
+
+def test_logistic_csv_arrays_equal_component_build(tmp_path):
+    rng = np.random.default_rng(5)
+    m, q, n = 4, 5, 3
+    labels = rng.choice([-1, 1], size=m * q)
+    feats = rng.standard_normal((m * q, n)) * 10.0 ** rng.uniform(-3, 3, (m * q, 1))
+    np.savetxt(tmp_path / "data.csv", np.column_stack([labels, feats]),
+               delimiter=",", fmt="%.17g")
+    text = GOOD_CONFIG.replace(
+        "family = quadratic\nq = 3\nn = 2\nseed = 1",
+        f"family = logistic_csv\nlam = 0.7\nlogistic_csv = {tmp_path / 'data.csv'}")
+    prob = harness.build_problem(harness.parse_config(write_config(tmp_path, text)))
+    labels, feats = objectives.load_logistic_csv(tmp_path / "data.csv")
+    assert_same_logistic_instance(prob, component_built(feats, labels, 0.7, m))
 
 
 def test_gaussian_logistic_class_separation():
