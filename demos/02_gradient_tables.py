@@ -9,22 +9,23 @@ import copy
 
 import numpy as np
 
-from sdiging import saga
-from sdiging.objectives import full_local_gradient, quadratic_family
+from sdiging import engine, saga
+from sdiging.objectives import quadratic_family
 
-lo = quadratic_family(1, 5, 3, (1.0, 3.0), seed=2).locals[0]
+problem = quadratic_family(1, 5, 3, (1.0, 3.0), seed=2)     # one agent, q = 5
+lo = problem.locals[0]
 rng = np.random.default_rng(0)
 
 # every slot evaluated at x0 = 0; the index stream is keyed by (seed, agent)
-grads = np.stack([c.gradient(np.zeros(3)) for c in lo.components])
-tables = saga.GradientTables(grads[None], [lo.q], seed=42, agent_ids=[0])
+tables = engine.make_tables(problem, seed=42)
 print(f"table holds {tables[0].q} stored gradients of dimension "
       f"{tables[0].dim}")
 
 
 def estimate(t, x, idx):
     """SAGA estimate at x from component idx (1-based); updates the table."""
-    return t.update(np.array([idx]), lo.components[idx - 1].gradient(x)[None])[0]
+    fresh = problem.drawn_gradients(x[None], np.array([idx]))
+    return t.update(np.array([idx]), fresh)[0]
 
 
 # scramble the table with a few updates, then check unbiasedness:
@@ -36,7 +37,7 @@ x = rng.standard_normal(3)
 acc = np.zeros(3)
 for idx in range(1, lo.q + 1):
     acc += estimate(copy.deepcopy(tables), x, idx)
-full = full_local_gradient(lo, x)
+full = lo.full_gradient(x)
 print(f"exhaustive average vs full gradient: "
       f"gap {np.linalg.norm(acc / lo.q - full):.2e}")
 

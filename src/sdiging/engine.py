@@ -53,15 +53,14 @@ class NetworkState:
 
 
 def make_tables(problem: ProblemInstance, seed: int) -> GradientTables:
-    """One gradient table per agent, every slot evaluated at x = 0, streams
-    keyed by (seed, agent index)."""
-    q = problem.q
-    x0 = np.zeros((problem.m, problem.dim))
+    """One gradient table per agent, every slot evaluated at x = 0 by one
+    stacked gradient over all components, streams keyed by (seed, agent
+    index)."""
+    st = problem.stacked
     grads = np.zeros((problem.m, problem.q_max, problem.dim))
-    for h in range(problem.q_max):
-        grads[:, h] = problem.component_gradients(x0, np.minimum(h, q - 1))
-    grads[np.arange(problem.q_max) >= q[:, None]] = 0.0
-    return GradientTables(grads, q, seed, range(problem.m))
+    grads[np.arange(problem.q_max) < problem.q[:, None]] = st.grad(
+        st.params, np.zeros((len(st.params[0]), problem.dim)))
+    return GradientTables(grads, problem.q, seed, range(problem.m))
 
 
 def _check_rule(rule: str):

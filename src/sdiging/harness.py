@@ -25,13 +25,7 @@ from sdiging.errors import (
     InvalidArgumentError,
     ReferenceFailure,
 )
-from sdiging.objectives import (
-    DiskDistance,
-    KMeansPoint,
-    LocalObjective,
-    ProblemInstance,
-    Quadratic,
-)
+from sdiging.objectives import DiskDistance, KMeansPoint, ProblemInstance
 
 DEFAULT_LAMBDA = 1.0          # logistic regularizer when the config is silent
 DEFAULT_SIGMA_FRACTION = 0.05  # localization noise std as a fraction of a
@@ -60,7 +54,7 @@ def gaussian_logistic_instance(m: int, q_i: int, n: int = 4, seed: int = 0,
     noise = rng.normal(scale=np.sqrt(2.0), size=(m, 2, half, n))
     feats = (np.stack([mean, -mean])[:, None, :] + noise).reshape(m * q_i, n)
     labels = np.tile(np.repeat([1, -1], half), m)
-    return ProblemInstance.logistic(feats, labels, lam=lam, m=m)
+    return objectives.logistic_problem(feats, labels, lam=lam, m=m)
 
 
 def localization_instance(m: int = 50, q_i: int = 100, field_size: float = 100.0,
@@ -69,7 +63,10 @@ def localization_instance(m: int = 50, q_i: int = 100, field_size: float = 100.0
     """Sensors on a square field measuring an attenuated source signal.
 
     Returns ``(problem, true_source)``.  Sensors closer than 1 to the
-    source are resampled (the attenuation model is invalid there).  With
+    source are resampled (the attenuation model is invalid there).
+    Nonpositive measurements are raised to a small positive floor before
+    the radius is formed; the instance counts them in
+    ``clamped_measurements``.  With
     sigma = 0 every disk boundary passes through the source and the
     aggregate objective attains 0 there, so the true source doubles as the
     known optimum.
@@ -87,16 +84,17 @@ def localization_instance(m: int = 50, q_i: int = 100, field_size: float = 100.0
         r = rng.uniform(0.0, field_size, size=2)
         if np.linalg.norm(source - r) > 1.0:
             sensors.append(r)
-    locals_ = []
-    for r in sensors:
-        dist = float(np.linalg.norm(source - r))
-        clean = a / dist ** theta
-        meas = clean + rng.normal(scale=sigma, size=q_i) if sigma > 0 \
-            else np.full(q_i, clean)
-        comps = [DiskDistance(r=r, c_meas=float(c), a=a) for c in meas]
-        locals_.append(LocalObjective(components=comps))
-    known = source.copy() if sigma == 0 else None
-    return ProblemInstance(locals=locals_, known_optimum=known), source
+    clean = [a / float(np.linalg.norm(source - r)) ** theta for r in sensors]
+    meas = np.repeat(clean, q_i).reshape(m, q_i)
+    if sigma > 0:       # every sensor's noise after the previous sensor's
+        meas += rng.normal(scale=sigma, size=(m, q_i))
+    floor = objectives.MEASUREMENT_CLAMP_FRACTION * a
+    problem = ProblemInstance(
+        DiskDistance, [np.repeat(sensors, q_i, axis=0),
+                       np.sqrt(a / np.maximum(meas, floor)).ravel()],
+        np.full(m, q_i), known_optimum=source.copy() if sigma == 0 else None)
+    problem.clamped_measurements = int(np.count_nonzero(meas < floor))
+    return problem, source
 
 
 def kmeans_instance(points: np.ndarray | None = None, m: int = 5, q_i: int = 30,
@@ -107,6 +105,8 @@ def kmeans_instance(points: np.ndarray | None = None, m: int = 5, q_i: int = 30,
     Gaussians of std 0.25.  A supplied point set must divide evenly across
     the agents.
     """
+    if k < 1:
+        raise InvalidArgumentError(f"cluster count must be >= 1, got {k}")
     rng = np.random.default_rng([seed & 0xFFFFFFFFFFFFFFFF, 0x335])
     if points is None:
         n = 2
@@ -122,14 +122,9 @@ def kmeans_instance(points: np.ndarray | None = None, m: int = 5, q_i: int = 30,
             raise InvalidArgumentError(
                 f"{points.shape[0]} points do not divide across {m} agents "
                 f"with q_i={q_i}")
-    perm = rng.permutation(points.shape[0])
-    points = points[perm]
-    locals_ = []
-    for i in range(m):
-        chunk = points[i * q_i:(i + 1) * q_i]
-        locals_.append(LocalObjective(
-            components=[KMeansPoint(p=p, k=k) for p in chunk]))
-    return ProblemInstance(locals=locals_)
+    points = points[rng.permutation(points.shape[0])]
+    return ProblemInstance(KMeansPoint, [points, np.full(len(points), k)],
+                           np.full(m, q_i))
 
 
 # ---------------------------------------------------------------------------
@@ -192,9 +187,9 @@ def _accelerated_descent(problem: ProblemInstance, x0: np.ndarray,
 
 def _lloyd_reference(problem: ProblemInstance, seed: int = 0) -> ReferenceSolution:
     """Best-of-10-restart center refinement; explicitly non-certified."""
-    pts = np.stack([c.p for lo in problem.locals for c in lo.components])
-    k = problem.locals[0].components[0].k
+    pts = problem.stacked.params[0]
     n = pts.shape[1]
+    k = problem.dim // n
     rng = np.random.default_rng([seed & 0xFFFFFFFFFFFFFFFF, 0x11D])
     best_obj, best_centers = np.inf, None
     sweeps = 0
@@ -347,6 +342,9 @@ def parse_config(path) -> ExperimentConfig:
         raise ConfigError("topology needs m >= 2")
     if values.get("rounds", 0) < 1:
         raise ConfigError("algorithm needs rounds >= 1")
+    for name in ("q", "n", "clusters"):
+        if values.get(name, 1) < 1:
+            raise ConfigError(f"problem needs {name} >= 1")
     cfg = ExperimentConfig(**values)
     if not 0 <= cfg.laziness < 1:
         raise ConfigError("topology needs 0 <= laziness < 1")
@@ -380,7 +378,7 @@ def build_problem(cfg: ExperimentConfig) -> ProblemInstance:
         total = labels.shape[0]
         if total % cfg.m != 0:
             raise ConfigError(f"{total} samples do not divide across {cfg.m} agents")
-        return ProblemInstance.logistic(feats, labels, lam=cfg.lam, m=cfg.m)
+        return objectives.logistic_problem(feats, labels, lam=cfg.lam, m=cfg.m)
     if cfg.family == "localization":
         problem, _ = localization_instance(
             m=cfg.m, q_i=cfg.q, field_size=cfg.field_size, a=cfg.a,
@@ -439,6 +437,8 @@ def _write_metadata(path: Path, cfg: ExperimentConfig, w: graph.MixingMatrix,
     lines.append(f"problem.lip = {problem.lip}")
     lines.append(f"problem.q_min = {problem.q_min}")
     lines.append(f"problem.q_max = {problem.q_max}")
+    if problem.clamped_measurements is not None:
+        lines.append(f"problem.clamped_measurements = {problem.clamped_measurements}")
     if ref is not None:
         lines.append(f"reference.grad_norm = {ref.grad_norm}")
         lines.append(f"reference.certified = {ref.certified}")

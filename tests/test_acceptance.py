@@ -7,6 +7,7 @@ one run.
 
 import copy
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -15,8 +16,8 @@ from sdiging import engine, graph, harness, saga
 from sdiging.objectives import (
     DiskDistance,
     KMeansPoint,
-    LogisticSample,
-    full_local_gradient,
+    Quadratic,
+    logistic_problem,
     quadratic_family,
 )
 
@@ -27,12 +28,10 @@ def report(num, name, ok, detail=""):
 
 
 def logistic_local(q, n, seed):
-    from sdiging.objectives import LocalObjective
+    """A one-agent logistic problem with lam/m = 1/2."""
     rng = np.random.default_rng(seed)
-    comps = [LogisticSample(c=rng.standard_normal(n),
-                            label=int(rng.choice([-1, 1])),
-                            lam=1.0, m=2, q=q) for _ in range(q)]
-    return LocalObjective(components=comps)
+    return logistic_problem(rng.standard_normal((q, n)),
+                            rng.choice([-1, 1], size=q), lam=0.5, m=1)
 
 
 def va2_problem():
@@ -53,15 +52,21 @@ def va2_instance():
     return prob, w, harness.reference_solution(prob, seed=3)
 
 
-def table_at(lo, x0, seed):
+def component_gradient(prob, x, idx):
+    """Gradient of a one-agent problem's component idx (1-based) at x."""
+    return prob.drawn_gradients(x[None], np.array([idx]))
+
+
+def table_at(prob, x0, seed):
     """One-agent stacked tables with every slot evaluated at x0."""
-    grads = np.stack([c.gradient(x0) for c in lo.components])
-    return saga.GradientTables(grads[None], [lo.q], seed, [0])
+    grads = np.concatenate([component_gradient(prob, x0, h)
+                            for h in range(1, prob.q_max + 1)])
+    return saga.GradientTables(grads[None], [prob.q_max], seed, [0])
 
 
-def estimate(t, lo, x, idx):
+def estimate(t, prob, x, idx):
     """SAGA estimate of one-agent tables at x from component idx (1-based)."""
-    return t.update(np.array([idx]), lo.components[idx - 1].gradient(x)[None])[0]
+    return t.update(np.array([idx]), component_gradient(prob, x, idx))[0]
 
 
 def test_criterion_1_unbiasedness():
@@ -71,7 +76,7 @@ def test_criterion_1_unbiasedness():
     while states < 50:
         for q in (2, 3, 5, 8):
             for make in (lambda: quadratic_family(1, q, 3, (1.0, 3.0),
-                                                  seed=states).locals[0],
+                                                  seed=states),
                          lambda: logistic_local(q, 3, seed=states)):
                 lo = make()
                 t = table_at(lo, rng.standard_normal(3), seed=states)
@@ -81,7 +86,7 @@ def test_criterion_1_unbiasedness():
                 acc = np.zeros(3)
                 for idx in range(1, q + 1):
                     acc += estimate(copy.deepcopy(t), lo, x, idx)
-                ref = full_local_gradient(lo, x)
+                ref = lo.locals[0].full_gradient(x)
                 err = np.linalg.norm(acc / q - ref) / (1 + np.linalg.norm(ref))
                 worst = max(worst, err)
                 states += 1
@@ -92,7 +97,7 @@ def test_criterion_1_unbiasedness():
 
 def test_criterion_2_running_sum_integrity():
     rng = np.random.default_rng(202)
-    lo = quadratic_family(1, 7, 4, (1.0, 3.0), seed=0).locals[0]
+    lo = quadratic_family(1, 7, 4, (1.0, 3.0), seed=0)
     t = table_at(lo, np.zeros(4), seed=5)
     for _ in range(10 ** 4):
         estimate(t, lo, rng.standard_normal(4) * 10, int(t.draw()[0]))
@@ -277,27 +282,37 @@ def test_criterion_10_gradient_correctness():
         ana = f.gradient(x)
         return np.linalg.norm(ana - num) / (1 + np.linalg.norm(ana)) < rtol
 
+    def row(cls, params):
+        """A one-row stack as a function of one point."""
+        return SimpleNamespace(
+            value=lambda x: float(cls.stacked_value(params, x[None])[0]),
+            gradient=lambda x: cls.stacked_gradient(params, x[None])[0])
+
     n_probes = 1000
     fails = []
 
-    quad = quadratic_family(1, 4, 3, (1.0, 3.0), seed=1).locals[0].components
+    quad = quadratic_family(1, 4, 3, (1.0, 3.0), seed=1).stacked.params
+    quad = [row(Quadratic, [p[k:k + 1] for p in quad]) for k in range(4)]
     for k in range(n_probes):
         if not check(quad[k % 4], rng.standard_normal(3), 1e-5):
             fails.append("quadratic")
 
-    logi = [LogisticSample(c=rng.standard_normal(3),
-                           label=int(rng.choice([-1, 1])), lam=1.0, m=3, q=4)
-            for _ in range(4)]
+    # logistic samples through their agent's local average
+    logi = [logistic_problem(rng.standard_normal((4, 3)),
+                             rng.choice([-1, 1], size=4), lam=1.0 / 3, m=1)
+            .locals[0] for _ in range(4)]
+    logi = [SimpleNamespace(value=lo.value, gradient=lo.full_gradient)
+            for lo in logi]
     for k in range(n_probes):
         if not check(logi[k % 4], rng.standard_normal(3), 1e-6):
             fails.append("logistic")
 
     done = 0
     while done < n_probes:
-        f = DiskDistance(r=rng.uniform(-2, 2, 2),
-                         c_meas=rng.uniform(0.5, 2.0), a=1.0)
+        r, radius = rng.uniform(-2, 2, 2), np.sqrt(1.0 / rng.uniform(0.5, 2.0))
+        f = row(DiskDistance, [r[None], np.array([radius])])
         x = rng.uniform(-4, 4, 2)
-        if abs(np.linalg.norm(x - f.r) - f.radius) < 1e-4:
+        if abs(np.linalg.norm(x - r) - radius) < 1e-4:
             continue
         if not check(f, x, 1e-5):
             fails.append("localization")
@@ -305,9 +320,10 @@ def test_criterion_10_gradient_correctness():
 
     done = 0
     while done < n_probes:
-        f = KMeansPoint(p=rng.standard_normal(2), k=3)
+        p = rng.standard_normal(2)
+        f = row(KMeansPoint, [p[None], np.array([3])])
         x = rng.uniform(-3, 3, 6)
-        d = np.sort(np.sqrt(np.sum((x.reshape(3, 2) - f.p) ** 2, axis=1)))
+        d = np.sort(np.sqrt(np.sum((x.reshape(3, 2) - p) ** 2, axis=1)))
         if d[1] - d[0] < 1e-4:
             continue
         if not check(f, x, 1e-5):

@@ -203,20 +203,56 @@ def test_quadratic_mu_lip_out_of_order_fails_before_set_up(
     assert "config_error: problem needs 0 < mu <= lip" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("family, key, value", [
+    ("localization", "q", "-1"), ("kmeans", "q", "-1"), ("quadratic", "q", "0"),
+    ("localization", "q", "0"), ("quadratic", "n", "0"),
+    ("gaussian_logistic", "n", "0"), ("quadratic", "n", "-1"),
+    ("kmeans", "clusters", "0"), ("kmeans", "clusters", "-2")])
+def test_size_below_one_fails_before_set_up(
+        tmp_path, capsys, monkeypatch, family, key, value):
+    def build(*args, **kwargs):
+        raise AssertionError("topology built")
+
+    monkeypatch.setattr(graph, "build_topology", build)
+    text = QUAD_CONFIG.replace("family = quadratic\nq = 3\nn = 2\n",
+                               f"family = {family}\n")
+    text = text.replace("[problem]\n", f"[problem]\n{key} = {value}\n")
+    rc = cli.main(["run", write(tmp_path, text, alpha="0.01", rounds=10)])
+    assert rc == cli.EXIT_CONFIG
+    assert f"config_error: problem needs {key} >= 1\n" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("command", [
     ["run"], ["certify"], ["compare", "--algos", "diging,sdiging,primal_dual",
                            "--target", "-3"]])
 def test_logistic_commands_build_no_component_objects(
         tmp_path, monkeypatch, capsys, command):
-    def init(self, *args, **kwargs):
-        raise AssertionError("LogisticSample constructed")
+    # every family, the logistic ones included: the commands read the
+    # stacked arrays and never make the per-agent views
+    def views(self):
+        raise AssertionError("problem.locals read")
 
-    monkeypatch.setattr(objectives.LogisticSample, "__init__", init)
-    text = QUAD_CONFIG.replace("family = quadratic\nq = 3\nn = 2\nseed = 1\n",
-                               LOGISTIC_PROBLEM)
-    path = write(tmp_path, text, alpha="auto", rounds=20)
-    rc = cli.main(["--quiet", command[0], path, *command[1:]])
-    assert rc == cli.EXIT_OK, capsys.readouterr().err
+    monkeypatch.setattr(objectives.ProblemInstance, "locals", property(views))
+    csv = tmp_path / "data.csv"
+    csv.write_text("1,0.5,-1.5\n-1,2.0,3.0\n1,1.0,0.5\n-1,-0.5,0.25\n")
+    problems = {
+        "quadratic": "family = quadratic\nq = 3\nn = 2\nseed = 1\n",
+        "gaussian_logistic": LOGISTIC_PROBLEM,
+        "logistic_csv": f"family = logistic_csv\nlogistic_csv = {csv}\n",
+        "localization": "family = localization\nq = 5\nseed = 1\nsigma = 0.0\n",
+        "kmeans": "family = kmeans\nq = 6\nseed = 1\n",
+    }
+    for family, problem in problems.items():
+        strongly_convex = family in ("quadratic", "gaussian_logistic",
+                                     "logistic_csv")
+        text = QUAD_CONFIG.replace(
+            "family = quadratic\nq = 3\nn = 2\nseed = 1\n", problem)
+        path = write(tmp_path, text, alpha="auto" if strongly_convex else "0.05",
+                     rounds=20)
+        rc = cli.main(["--quiet", command[0], path, *command[1:]])
+        want = cli.EXIT_OK if strongly_convex or command[0] != "certify" \
+            else cli.EXIT_CERTIFICATE
+        assert rc == want, (family, capsys.readouterr().err)
 
 
 def test_percent_in_a_value_is_literal(tmp_path, capsys):

@@ -11,7 +11,7 @@ from sdiging.errors import (
     InvalidArgumentError,
 )
 from sdiging.objectives import (
-    LocalObjective,
+    DiskDistance,
     ProblemInstance,
     Quadratic,
     quadratic_family,
@@ -25,10 +25,7 @@ def mixing(kind, m, p=None, seed=0, laziness=0.1):
 
 def localization_like_problem():
     # mu = 0 problem for the certification gate
-    from sdiging.objectives import DiskDistance
-    comps = [DiskDistance(r=np.zeros(2), c_meas=1.0, a=1.0)]
-    return ProblemInstance(locals=[LocalObjective(components=comps),
-                                   LocalObjective(components=list(comps))])
+    return ProblemInstance(DiskDistance, [np.zeros((2, 2)), np.ones(2)], [1, 1])
 
 
 # ---------------------------------------------------------------------------
@@ -53,9 +50,8 @@ def test_single_agent_reduces_to_gradient_descent():
 def test_zero_objective_mixes_to_consensus():
     # with g identically zero the x-update is pure neighbor averaging
     m = 6
-    comps = [Quadratic(np.zeros((2, 2)), np.zeros(2))]
-    prob = ProblemInstance(locals=[LocalObjective(components=list(comps))
-                                   for _ in range(m)])
+    prob = ProblemInstance(Quadratic, [np.zeros((m, 2, 2)), np.zeros((m, 2))],
+                           np.ones(m, dtype=int))
     w = mixing("ring", m)
     rng = np.random.default_rng(0)
     x = rng.standard_normal((m, 2))
@@ -368,7 +364,7 @@ def stepped_trace(rule, prob, w, alpha, rounds, seed, record_every, reference):
     batched."""
     tables = None if rule == "diging" else engine.make_tables(prob, seed)
     state = engine.init_state(rule, prob, tables)
-    per_round = prob.m if tables is not None else sum(lo.q for lo in prob.locals)
+    per_round = prob.m if tables is not None else int(prob.q.sum())
     cols = {"rounds": [], "residual_log10": [], "consensus_gap": [],
             "grad_evals": []}
 
@@ -461,6 +457,14 @@ def test_batched_partial_trace_ends_at_divergence(rule):
 # the vectorized round against per-agent loops
 # ---------------------------------------------------------------------------
 
+def component_gradient(prob, i, h, x):
+    """Gradient of agent i's component h (0-based) at one point x, through
+    the stacked oracle on that row alone."""
+    k = prob.stacked.offsets[i] + h
+    return prob.kind.stacked_gradient([p[k:k + 1] for p in prob.stacked.params],
+                                      x[None])[0]
+
+
 def reference_run(rule, prob, w, alpha, rounds, seed):
     """The round as per-agent loops: one single Philox draw, one scalar
     component gradient and one SAGA update per agent (full local gradients
@@ -470,26 +474,28 @@ def reference_run(rule, prob, w, alpha, rounds, seed):
     ww, lap = w @ w, np.eye(m) - w
     rngs = [np.random.Generator(np.random.Philox(
         key=np.array([seed, i], dtype=np.uint64))) for i in range(m)]
-    table = [np.stack([c.gradient(np.zeros(n)) for c in lo.components])
-             for lo in prob.locals]
+    q = prob.q.tolist()
+    table = [np.stack([component_gradient(prob, i, h, np.zeros(n))
+                       for h in range(q[i])]) for i in range(m)]
     sums = [t.sum(axis=0) for t in table]
 
     def gradients(x):
         g = np.empty((m, n))
-        for i, lo in enumerate(prob.locals):
+        for i in range(m):
             if rule == "diging":
-                g[i] = lo.full_gradient(x[i])
+                g[i] = sum(component_gradient(prob, i, h, x[i])
+                           for h in range(q[i])) / q[i]
                 continue
-            h = int(rngs[i].integers(1, lo.q + 1)) - 1
-            fresh = lo.components[h].gradient(x[i])
-            g[i] = fresh - table[i][h] + sums[i] / lo.q
+            h = int(rngs[i].integers(1, q[i] + 1)) - 1
+            fresh = component_gradient(prob, i, h, x[i])
+            g[i] = fresh - table[i][h] + sums[i] / q[i]
             sums[i] += fresh - table[i][h]
             table[i][h] = fresh
         return g
 
     x = np.zeros((m, n))
     g = gradients(x) if rule == "diging" else \
-        np.stack([s / lo.q for s, lo in zip(sums, prob.locals)])
+        np.stack([s / qi for s, qi in zip(sums, q)])
     tracker = g.copy() if rule != "primal_dual" else np.zeros((m, n))
     for _ in range(rounds):
         if rule == "primal_dual":
@@ -505,10 +511,8 @@ def reference_run(rule, prob, w, alpha, rounds, seed):
 
 
 def uneven_quadratic():
-    comps = quadratic_family(1, 12, 3, (1.0, 3.0), seed=4).locals[0].components
-    cuts = np.cumsum([0, 2, 5, 1, 4])
-    return ProblemInstance(locals=[LocalObjective(components=comps[a:b])
-                                   for a, b in zip(cuts, cuts[1:])])
+    params = quadratic_family(1, 12, 3, (1.0, 3.0), seed=4).stacked.params
+    return ProblemInstance(Quadratic, params, [2, 5, 1, 4])
 
 
 @pytest.mark.parametrize("family", ["quadratic", "uneven", "logistic",
@@ -567,15 +571,3 @@ def test_csr_round_matches_dense_loop_at_m1000():
             assert np.abs(a - b).max() <= 1e-12 * max(1.0, np.abs(b).max())
         finals[rule] = state.x
     assert np.abs(finals["sdiging"] - finals["primal_dual"]).max() < 1e-12
-
-
-def test_mixed_component_classes_rejected():
-    from sdiging.objectives import DiskDistance
-    quad = quadratic_family(1, 1, 2, (1.0, 2.0), seed=0).locals[0]
-    disk = LocalObjective(components=[DiskDistance(r=np.zeros(2), c_meas=1.0,
-                                                   a=1.0)])
-    prob = ProblemInstance(locals=[quad, disk])
-    w = mixing("ring", 2)
-    for rule in engine.ALGORITHMS:
-        with pytest.raises(InvalidArgumentError):
-            engine.run(rule, prob, w, 0.01, 10)

@@ -6,7 +6,15 @@ import pytest
 
 from sdiging import engine, harness, objectives
 from sdiging.errors import ConfigError, InvalidArgumentError, ReferenceFailure
-from sdiging.objectives import ProblemInstance, make_logistic_local, quadratic_family
+from sdiging.objectives import (
+    DiskDistance,
+    KMeansPoint,
+    LogisticSample,
+    ProblemInstance,
+    Quadratic,
+    logistic_problem,
+    quadratic_family,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -17,9 +25,8 @@ def test_gaussian_logistic_shape_and_determinism():
     p1 = harness.gaussian_logistic_instance(m=6, q_i=10, n=4, seed=3)
     p2 = harness.gaussian_logistic_instance(m=6, q_i=10, n=4, seed=3)
     assert p1.m == 6 and p1.q_min == p1.q_max == 10 and p1.dim == 4
-    for a, b in zip(p1.locals, p2.locals):
-        for ca, cb in zip(a.components, b.components):
-            assert np.array_equal(ca.c, cb.c) and ca.label == cb.label
+    for a, b in zip(p1.stacked.params, p2.stacked.params):
+        assert np.array_equal(a, b)
 
 
 def per_agent_logistic(m, q_i, n, seed, lam=harness.DEFAULT_LAMBDA):
@@ -42,7 +49,7 @@ def per_agent_logistic(m, q_i, n, seed, lam=harness.DEFAULT_LAMBDA):
 def test_gaussian_logistic_matches_per_agent_draws(m, q_i):
     prob = harness.gaussian_logistic_instance(m, q_i, n=4, seed=3)
     lc, lam_m, lip = per_agent_logistic(m, q_i, 4, 3)
-    got_lam_m, got_lc, got_qlc = prob._stack().params
+    got_lam_m, got_lc, got_qlc = prob.stacked.params
     assert np.array_equal(got_lc, lc)
     assert np.array_equal(np.signbit(got_lc), np.signbit(lc))
     assert np.array_equal(got_qlc, q_i * lc)
@@ -68,38 +75,39 @@ def test_gaussian_logistic_rejects_nonpositive_q_or_bad_lam(q_i, lam):
     (3, [1, -1], 2)])
 def test_logistic_arrays_reject_bad_labels_or_split(rows, labels, m):
     with pytest.raises(InvalidArgumentError):
-        ProblemInstance.logistic(np.ones((rows, 2)), labels, 1.0, m)
+        logistic_problem(np.ones((rows, 2)), labels, 1.0, m)
 
 
-def component_built(features, labels, lam, m):
-    """The instance as one LogisticSample per row, agent by agent."""
-    return ProblemInstance(locals=[
-        make_logistic_local(f, lab, lam=lam, m=m)
-        for f, lab in zip(np.split(features, m), np.split(labels, m))])
+def row_built(features, labels, lam, m):
+    """The instance's parameters row by row, as one object per sample held
+    them: l*c as c or -c, lam/m, q*l*c, and lip as the largest
+    lam/m + q*c.dot(c)/4."""
+    q = len(labels) // m
+    lc = np.array([c if label == 1 else -c for c, label in zip(features, labels)])
+    lam_m = lam / m
+    lip = max(lam_m + q * float(c.dot(c)) / 4.0 for c in features)
+    params = [np.full((len(lc), 1), lam_m), lc, float(q) * lc]
+    return params, lam_m, lip
 
 
-def assert_same_logistic_instance(got, want):
-    """Bit for bit: stacked parameters and their dtypes, constants, the
-    reference solution and the components ``locals`` makes on demand."""
-    sg, sw = got._stack(), want._stack()
-    for a, b in zip(sg.params + [sg.offsets, sg.q, sg.first],
-                    sw.params + [sw.offsets, sw.q, sw.first]):
+def assert_same_logistic_instance(got, features, labels, lam, m):
+    """Bit for bit: stacked parameters and their dtypes, constants, and the
+    reference solution of the same rows given to the constructor."""
+    params, lam_m, lip = row_built(features, labels, lam, m)
+    sg = got.stacked
+    for a, b in zip(sg.params, params):
         assert a.dtype == b.dtype and a.shape == b.shape
         assert np.array_equal(a, b) and np.array_equal(np.signbit(a), np.signbit(b))
-    assert sg.grad is sw.grad and sg.split is None and sw.split is None
-    for key in ("mu", "lip", "q_min", "q_max", "m", "dim", "kind"):
-        assert type(getattr(got, key)) is type(getattr(want, key)), key
-        assert getattr(got, key) == getattr(want, key), key
-    assert np.array_equal(got._logistic, want._logistic)
+    q = len(labels) // m
+    assert sg.grad is LogisticSample.stacked_gradient and sg.split is None
+    assert np.array_equal(sg.offsets, q * np.arange(m))
+    for key, want in (("mu", lam_m), ("lip", lip), ("q_min", q), ("q_max", q),
+                      ("m", m), ("dim", features.shape[1])):
+        assert type(getattr(got, key)) is type(want), key
+        assert getattr(got, key) == want, key
+    want = ProblemInstance(LogisticSample, params, np.full(m, q))
     rg, rw = harness.reference_solution(got), harness.reference_solution(want)
     assert np.array_equal(rg.x, rw.x) and rg.oracle_calls == rw.oracle_calls
-    assert len(got.locals) == len(want.locals)
-    for lg, lw in zip(got.locals, want.locals):
-        assert lg.q == lw.q
-        for cg, cw in zip(lg.components, lw.components):
-            assert np.array_equal(cg.c, cw.c) and np.array_equal(cg._lc, cw._lc)
-            assert (cg.label, cg.lam_m, cg.q, cg.mu, cg.lip, cg.dim) == \
-                (cw.label, cw.lam_m, cw.q, cw.mu, cw.lip, cw.dim)
 
 
 @pytest.mark.parametrize("m, q_i, n, lam", [
@@ -115,8 +123,7 @@ def test_gaussian_logistic_arrays_equal_component_build(m, q_i, n, lam):
             feats.append(label * mean + rng.normal(scale=np.sqrt(2.0),
                                                    size=(q_i // 2, n)))
             labels += [label] * (q_i // 2)
-    assert_same_logistic_instance(
-        prob, component_built(np.vstack(feats), np.array(labels), lam, m))
+    assert_same_logistic_instance(prob, np.vstack(feats), np.array(labels), lam, m)
 
 
 def test_logistic_csv_arrays_equal_component_build(tmp_path):
@@ -131,17 +138,16 @@ def test_logistic_csv_arrays_equal_component_build(tmp_path):
         f"family = logistic_csv\nlam = 0.7\nlogistic_csv = {tmp_path / 'data.csv'}")
     prob = harness.build_problem(harness.parse_config(write_config(tmp_path, text)))
     labels, feats = objectives.load_logistic_csv(tmp_path / "data.csv")
-    assert_same_logistic_instance(prob, component_built(feats, labels, 0.7, m))
+    assert_same_logistic_instance(prob, feats, labels, 0.7, m)
 
 
 def test_gaussian_logistic_class_separation():
     # CLT check on the difference of class means; the generator separation
     # is [4, 4, -4, -4] with per-coordinate s.e. sqrt(2)*2/sqrt(N/2)
     prob = harness.gaussian_logistic_instance(m=20, q_i=40, n=4, seed=1)
-    plus, minus = [], []
-    for lo in prob.locals:
-        for c in lo.components:
-            (plus if c.label == 1 else minus).append(c.c)
+    _, lc, _ = prob.stacked.params
+    labels = np.tile(np.repeat([1, -1], 20), 20)
+    plus, minus = lc[labels == 1], -lc[labels == -1]
     diff = np.mean(plus, axis=0) - np.mean(minus, axis=0)
     se = np.sqrt(2.0) * np.sqrt(2.0) / math.sqrt(len(plus))
     assert np.abs(diff - np.array([4.0, 4.0, -4.0, -4.0])).max() < 4 * se
@@ -150,9 +156,8 @@ def test_gaussian_logistic_class_separation():
 def test_localization_geometry_noiseless():
     prob, source = harness.localization_instance(m=8, q_i=5, sigma=0.0, seed=2)
     assert np.array_equal(prob.known_optimum, source)
-    for lo in prob.locals:
-        for c in lo.components:
-            assert c.value(source) == pytest.approx(0.0, abs=1e-18)
+    at = np.broadcast_to(source, (40, 2))
+    assert np.abs(DiskDistance.stacked_value(prob.stacked.params, at)).max() < 1e-18
     assert prob.aggregate_value(source) == pytest.approx(0.0, abs=1e-18)
 
 
@@ -164,8 +169,7 @@ def test_localization_rejects_sigma_below_zero(sigma):
 
 def test_localization_sensor_distance_floor():
     prob, source = harness.localization_instance(m=30, q_i=2, sigma=0.0, seed=4)
-    for lo in prob.locals:
-        r = lo.components[0].r
+    for r in prob.stacked.params[0]:
         assert np.linalg.norm(source - r) > 1.0
 
 
@@ -181,7 +185,7 @@ def test_localization_noisy_solution_near_source():
 
 def test_kmeans_partition_integrity():
     prob = harness.kmeans_instance(m=5, q_i=30, k=3, seed=6)
-    assert sum(lo.q for lo in prob.locals) == 150
+    assert prob.q.sum() == 150 and len(prob.stacked.params[0]) == 150
     assert prob.dim == 6
 
 
@@ -189,6 +193,108 @@ def test_kmeans_rejects_indivisible_points():
     pts = np.zeros((7, 2))
     with pytest.raises(InvalidArgumentError):
         harness.kmeans_instance(points=pts, m=2, q_i=4, k=2, seed=0)
+
+
+def quadratic_per_component(m, q_i, n, condition_range, seed):
+    """(A, b, x_star) drawn and formed one component at a time, the
+    aggregate summed as it goes."""
+    rng = np.random.default_rng([seed, 0x51AD])
+    a_all, b_all = [], []
+    a_sum, b_sum = np.zeros((n, n)), np.zeros(n)
+    for _ in range(m * q_i):
+        qmat, _ = np.linalg.qr(rng.standard_normal((n, n)))
+        eigs = rng.uniform(*condition_range, size=n)
+        a = qmat @ np.diag(eigs) @ qmat.T
+        a = 0.5 * (a + a.T)
+        b = rng.standard_normal(n)
+        a_all.append(a)
+        b_all.append(b)
+        a_sum += a / q_i
+        b_sum += b / q_i
+    return np.array(a_all), np.array(b_all), np.linalg.solve(a_sum, -b_sum)
+
+
+@pytest.mark.parametrize("m, q_i, n", [(3, 4, 1), (2, 5, 2), (4, 3, 3),
+                                       (5, 2, 4), (2, 3, 8)])
+def test_quadratic_arrays_equal_per_component_build(m, q_i, n):
+    prob = quadratic_family(m, q_i, n, (0.5, 4.0), seed=n)
+    a, b, x_star = quadratic_per_component(m, q_i, n, (0.5, 4.0), n)
+    got_a, got_b = prob.stacked.params
+    assert np.array_equal(got_a, a) and np.array_equal(got_b, b)
+    assert np.array_equal(prob.known_optimum, x_star)
+    eig = [np.linalg.eigvalsh(ak) for ak in a]
+    assert prob.mu == min(float(e[0]) for e in eig)
+    assert prob.lip == max(float(e[-1]) for e in eig)
+    assert type(prob.mu) is float and type(prob.lip) is float
+
+
+def localization_per_measurement(m, q_i, a, sigma, seed, field_size=100.0,
+                                 theta=2.0):
+    """(sensor per row, radius per row, clamped count) drawn sensor by
+    sensor and formed one measurement at a time."""
+    rng = np.random.default_rng([seed, 0x10C])
+    source = rng.uniform(0.0, field_size, size=2)
+    sensors = []
+    while len(sensors) < m:
+        r = rng.uniform(0.0, field_size, size=2)
+        if np.linalg.norm(source - r) > 1.0:
+            sensors.append(r)
+    rows, radii, clamped = [], [], 0
+    floor = objectives.MEASUREMENT_CLAMP_FRACTION * a
+    for r in sensors:
+        clean = a / float(np.linalg.norm(source - r)) ** theta
+        meas = clean + rng.normal(scale=sigma, size=q_i) if sigma > 0 \
+            else np.full(q_i, clean)
+        for c in meas.tolist():
+            clamped += c < floor
+            rows.append(r)
+            radii.append(float(np.sqrt(a / max(c, floor))))
+    return np.array(rows), np.array(radii), clamped
+
+
+@pytest.mark.parametrize("sigma, seed", [(0.0, 9), (None, 0), (None, 2),
+                                         (30.0, 1)])
+def test_localization_arrays_equal_per_measurement_build(sigma, seed):
+    prob, source = harness.localization_instance(m=10, q_i=20, sigma=sigma,
+                                                 seed=seed)
+    want_sigma = 0.05 * 100.0 if sigma is None else sigma
+    rows, radii, clamped = localization_per_measurement(10, 20, 100.0,
+                                                        want_sigma, seed)
+    got_rows, got_radii = prob.stacked.params
+    assert np.array_equal(got_rows, rows) and np.array_equal(got_radii, radii)
+    assert prob.clamped_measurements == clamped
+    assert (clamped > 0) == (want_sigma > 0)
+    assert np.isfinite(got_radii).all() and (got_radii > 0).all()
+    assert (prob.mu, prob.lip, prob.dim) == (0.0, 2.0, 2)
+
+
+def test_kmeans_arrays_hold_the_permuted_points():
+    prob = harness.kmeans_instance(m=4, q_i=5, k=3, seed=3)
+    rng = np.random.default_rng([3, 0x335])
+    means = np.stack([6.0 * np.array([np.cos(2 * np.pi * j / 3),
+                                      np.sin(2 * np.pi * j / 3)])
+                      for j in range(3)])
+    pts = means[rng.integers(0, 3, size=20)] + rng.normal(scale=0.25, size=(20, 2))
+    pts = pts[rng.permutation(20)]
+    got_pts, got_k = prob.stacked.params
+    assert np.array_equal(got_pts, pts) and (got_k == 3).all()
+    assert (prob.kind, prob.dim, prob.mu, prob.lip) == (KMeansPoint, 6, 0.0, 2.0)
+
+
+@pytest.mark.parametrize("k", [0, -2])
+def test_kmeans_rejects_no_clusters(k):
+    with pytest.raises(InvalidArgumentError, match="cluster count"):
+        harness.kmeans_instance(m=2, q_i=3, k=k, seed=0)
+
+
+@pytest.mark.parametrize("kind, params, q", [
+    (Quadratic, [np.zeros((3, 2, 2)), np.zeros((3, 2))], [2, 0, 1]),
+    (Quadratic, [np.zeros((3, 2, 2)), np.zeros((3, 2))], []),
+    (Quadratic, [np.zeros((3, 2, 2)), np.zeros((2, 2))], [2, 1]),
+    (DiskDistance, [np.zeros((4, 2)), np.ones(4)], [2, 1])])
+def test_problem_rejects_empty_agents_and_short_params(kind, params, q):
+    with pytest.raises(InvalidArgumentError):
+        ProblemInstance(kind, params, q)
 
 
 # ---------------------------------------------------------------------------
@@ -271,7 +377,7 @@ def test_reference_localization_noiseless():
 def test_reference_kmeans_centroid_and_recovery():
     # K=1: the optimum is the global centroid
     prob = harness.kmeans_instance(m=3, q_i=10, k=1, seed=11)
-    pts = np.stack([c.p for lo in prob.locals for c in lo.components])
+    pts = prob.stacked.params[0]
     ref = harness.reference_solution(prob, seed=0)
     assert not ref.certified
     assert np.linalg.norm(ref.x - pts.mean(axis=0)) < 1e-8
@@ -532,6 +638,27 @@ def test_run_experiment_records_reference_work(tmp_path):
     calls = result.reference.oracle_calls
     assert calls > 0
     assert f"reference.oracle_calls = {calls}" in meta
+
+
+@pytest.mark.parametrize("family, clamped", [
+    ("family = localization\nq = 3\nsigma = 10", 4),
+    ("family = localization\nq = 3\nsigma = 0", 0),
+    ("family = quadratic\nq = 3\nn = 2", None),
+    ("family = kmeans\nq = 6\nclusters = 2", None)])
+def test_run_experiment_records_clamped_measurements(tmp_path, family, clamped):
+    # sigma = 10 at problem seed 1 clamps 4 of the 12 measurements; only
+    # localization runs write the line
+    text = GOOD_CONFIG.replace("family = quadratic\nq = 3\nn = 2", family)
+    result = harness.run_experiment(harness.parse_config(
+        write_config(tmp_path, text=text)))
+    lines = [ln for ln in result.meta_path.read_text().splitlines()
+             if ln.startswith("problem.clamped_measurements")]
+    if clamped is None:
+        assert lines == []
+        return
+    sigma = float(family.rsplit(" ", 1)[1])
+    assert localization_per_measurement(4, 3, 100.0, sigma, 1)[2] == clamped
+    assert lines == [f"problem.clamped_measurements = {clamped}"]
 
 
 def test_run_experiment_records_kmeans_reference_work(tmp_path):

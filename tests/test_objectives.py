@@ -10,10 +10,8 @@ from sdiging.errors import InvalidArgumentError
 from sdiging.objectives import (
     DiskDistance,
     KMeansPoint,
-    LocalObjective,
     LogisticSample,
     Quadratic,
-    full_local_gradient,
     quadratic_family,
 )
 
@@ -36,38 +34,117 @@ def fd_check(func, points, rtol):
         assert err < rtol, f"finite-difference mismatch {err:.3e} at {x}"
 
 
+class Row:
+    """Row k of a stack as a function of one point, through the stacked
+    oracle, with the row's own mu and lip (q: its agent's count)."""
+
+    def __init__(self, cls, params, k=0, q=1):
+        self.cls, self.params = cls, [p[k:k + 1] for p in params]
+        _, self.mu, self.lip = cls.constants(self.params, np.array([q]))
+
+    def value(self, x):
+        return float(self.cls.stacked_value(self.params, x[None])[0])
+
+    def gradient(self, x):
+        return self.cls.stacked_gradient(self.params, x[None])[0]
+
+
+def disk(r, radius):
+    return Row(DiskDistance, [np.array([r], dtype=float), np.array([radius])])
+
+
+def kmeans(p, k):
+    return Row(KMeansPoint, [np.array([p], dtype=float), np.array([k])])
+
+
+def logistic_params(features, labels, lam_m, q):
+    """Stacked logistic rows of agents whose samples count ``q`` (per row)."""
+    lc = np.where(np.asarray(labels)[:, None] == 1, features, -features)
+    q = np.broadcast_to(np.asarray(q, dtype=float), (len(lc),))
+    return [np.full((len(lc), 1), lam_m), lc, q[:, None] * lc]
+
+
+def logistic(c, label, lam, m, q):
+    """One sample's loss with the q and lam/m given, as its agent's local
+    view: q copies of the sample average to the sample's own loss."""
+    return objectives.logistic_problem(
+        np.tile(c, (q, 1)), np.full(q, label), lam=lam / m, m=1).locals[0]
+
+
+def scalar_oracle(kind, row, q, x):
+    """(value, gradient) of one component at one point, as the
+    per-component classes computed them."""
+    if kind is Quadratic:
+        a, b = row
+        return 0.5 * float(x @ a @ x) + float(b @ x), a @ x + b
+    if kind is DiskDistance:
+        r, radius = row
+        d = x - r
+        dist = float(np.linalg.norm(d))
+        resid = x - (x if dist <= radius else r + (radius / dist) * d)
+        return float(resid @ resid), 2.0 * resid
+    if kind is KMeansPoint:
+        p, k = row
+        centers = x.reshape(k, len(p))
+        d2 = np.sum((centers - p) ** 2, axis=1)
+        near = int(np.argmin(d2))
+        g = np.zeros_like(x)
+        g[near * len(p):(near + 1) * len(p)] = 2.0 * (centers[near] - p)
+        return float(d2.min()), g
+    lam_m, lc, qlc = row
+    z = -float(lc @ x)
+    value = 0.5 * lam_m[0] * float(x @ x) + q * (
+        max(z, 0.0) + np.log1p(np.exp(-abs(z))))
+    return value, lam_m * x - expit(z) * qlc
+
+
+def sum_before_312(values):
+    """Python's ``sum`` of floats as CPython computed it before 3.12: one
+    addition at a time, from 0 (3.12 compensates)."""
+    return functools.reduce(operator.add, values, 0)
+
+
+def component_loop(prob, x):
+    """Aggregate gradient and value summed component by component, agent by
+    agent, as the per-component objects summed them."""
+    st = prob.stacked
+    grads, values = [], []
+    for start, q in zip(st.offsets.tolist(), st.q.tolist()):
+        g, v = np.zeros(prob.dim), []
+        for k in range(start, start + q):
+            vk, gk = scalar_oracle(prob.kind, [p[k] for p in st.params], q, x)
+            g += gk
+            v.append(vk)
+        grads.append(g / q)
+        values.append(sum_before_312(v) / q)
+    return sum(grads) / prob.m, sum_before_312(values) / prob.m
+
+
 # ---------------------------------------------------------------------------
 # quadratic
 # ---------------------------------------------------------------------------
 
 def test_scalar_quadratic_optimum():
     prob = quadratic_family(1, 1, 1, (1.0, 1.0), seed=5)
-    comp = prob.locals[0].components[0]
-    assert comp.a[0, 0] == pytest.approx(1.0)
-    assert prob.known_optimum[0] == pytest.approx(-comp.b[0])
+    a, b = prob.stacked.params
+    assert a[0, 0, 0] == pytest.approx(1.0)
+    assert prob.known_optimum[0] == pytest.approx(-b[0, 0])
 
 
 def test_quadratic_family_optimum_via_dense_solve():
     prob = quadratic_family(2, 2, 2, (1.0, 2.0), seed=3)
-    a_bar = np.zeros((2, 2))
-    b_bar = np.zeros(2)
-    for lo in prob.locals:
-        for c in lo.components:
-            a_bar += c.a / lo.q
-            b_bar += c.b / lo.q
-    x_direct = np.linalg.solve(a_bar, -b_bar)
+    a, b = prob.stacked.params
+    x_direct = np.linalg.solve(a.sum(axis=0) / 4, -b.sum(axis=0) / 4)
     assert np.allclose(prob.known_optimum, x_direct, atol=1e-12)
     assert np.linalg.norm(prob.aggregate_gradient(prob.known_optimum)) < 1e-10
 
 
 def test_quadratic_constants_bracket_spectrum():
     prob = quadratic_family(3, 4, 3, (0.5, 4.0), seed=1)
-    for lo in prob.locals:
-        for c in lo.components:
-            eig = np.linalg.eigvalsh(c.a)
-            assert c.mu == pytest.approx(eig[0], rel=1e-12)
-            assert c.lip == pytest.approx(eig[-1], rel=1e-12)
-            assert 0.5 - 1e-9 <= eig[0] and eig[-1] <= 4.0 + 1e-9
+    eig = np.array([np.linalg.eigvalsh(a) for a in prob.stacked.params[0]])
+    assert prob.mu == pytest.approx(eig[:, 0].min(), rel=1e-12)
+    assert prob.lip == pytest.approx(eig[:, -1].max(), rel=1e-12)
+    assert 0.5 - 1e-9 <= eig.min() and eig.max() <= 4.0 + 1e-9
 
 
 def test_quadratic_family_bad_range():
@@ -79,8 +156,8 @@ def test_quadratic_finite_difference():
     rng = np.random.default_rng(0)
     prob = quadratic_family(1, 3, 4, (1.0, 3.0), seed=9)
     pts = rng.standard_normal((20, 4))
-    for c in prob.locals[0].components:
-        fd_check(c, pts, 1e-5)
+    for k in range(3):
+        fd_check(Row(Quadratic, prob.stacked.params, k), pts, 1e-5)
 
 
 # ---------------------------------------------------------------------------
@@ -89,25 +166,27 @@ def test_quadratic_finite_difference():
 
 def test_logistic_at_zero():
     c = np.array([1.5, -2.0, 0.5])
-    f = LogisticSample(c=c, label=1, lam=2.0, m=4, q=7)
+    f = logistic(c, 1, lam=2.0, m=4, q=7)
     x0 = np.zeros(3)
     assert f.value(x0) == pytest.approx(7 * np.log(2.0), rel=1e-14)
-    assert np.allclose(f.gradient(x0), -(7 / 2.0) * c, atol=1e-14)
+    assert np.allclose(f.full_gradient(x0), -(7 / 2.0) * c, atol=1e-14)
+    row = Row(LogisticSample, logistic_params(c[None], [1], 0.5, 7), q=7)
+    assert np.allclose(row.gradient(x0), -(7 / 2.0) * c, atol=1e-14)
 
 
 def test_logistic_separable_limit():
-    f = LogisticSample(c=np.array([1.0, 0.0]), label=1, lam=1e-300, m=1, q=1)
+    f = logistic(np.array([1.0, 0.0]), 1, lam=1e-300, m=1, q=1)
     x = np.array([800.0, 0.0])
     assert f.value(x) < 1e-200
-    assert np.linalg.norm(f.gradient(x)) < 1e-200
+    assert np.linalg.norm(f.full_gradient(x)) < 1e-200
 
 
 def test_logistic_overflow_safe():
-    f = LogisticSample(c=np.array([1.0]), label=-1, lam=1.0, m=1, q=1)
+    f = logistic(np.array([1.0]), -1, lam=1.0, m=1, q=1)
     for t in (-1e4, 1e4):
         x = np.array([t])
         assert np.isfinite(f.value(x))
-        assert np.isfinite(f.gradient(x)).all()
+        assert np.isfinite(f.full_gradient(x)).all()
 
 
 def test_logistic_finite_difference():
@@ -115,15 +194,16 @@ def test_logistic_finite_difference():
     for _ in range(30):
         c = rng.standard_normal(4)
         label = int(rng.choice([-1, 1]))
-        f = LogisticSample(c=c, label=label, lam=1.0, m=5, q=6)
+        f = logistic(c, label, lam=1.0, m=5, q=6)
+        f.gradient = f.full_gradient
         fd_check(f, rng.standard_normal((5, 4)), 1e-6)
 
 
 def test_logistic_rejects_bad_inputs():
     with pytest.raises(InvalidArgumentError):
-        LogisticSample(c=np.ones(2), label=0, lam=1.0, m=1, q=1)
+        objectives.logistic_problem(np.ones((1, 2)), [0], lam=1.0, m=1)
     with pytest.raises(InvalidArgumentError):
-        LogisticSample(c=np.ones(2), label=1, lam=0.0, m=1, q=1)
+        objectives.logistic_problem(np.ones((1, 2)), [1], lam=0.0, m=1)
 
 
 @pytest.mark.parametrize("label", [1, -1])
@@ -134,12 +214,13 @@ def test_logistic_fields_match_product_formulas(label):
     rows = rng.standard_normal((200_000, 4))
     rows[rng.random(rows.shape) < 0.05] = 0.0
     rows[rng.random(rows.shape) < 0.05] = -0.0
-    for c in rows[::1000]:
-        f = LogisticSample(c=c, label=label, lam=1.0, m=3, q=7)
-        lc = label * c
-        assert np.array_equal(f._lc, lc)
-        assert np.array_equal(np.signbit(f._lc), np.signbit(lc))
-        assert f.lip == f.lam_m + 7 * float(c @ c) / 4.0
+    sample = rows[::1000]
+    prob = objectives.logistic_problem(sample, np.full(len(sample), label),
+                                       lam=1.0, m=40)
+    lam_m, lc, _ = prob.stacked.params
+    assert np.array_equal(lc, label * sample)
+    assert np.array_equal(np.signbit(lc), np.signbit(label * sample))
+    assert prob.lip == max(lam_m[0, 0] + 5 * float(c @ c) / 4.0 for c in sample)
     negated = -rows if label == -1 else rows
     assert np.array_equal(np.signbit(negated), np.signbit(label * rows))
     assert np.array_equal(negated, label * rows)
@@ -150,10 +231,10 @@ def test_logistic_fields_match_product_formulas(label):
 def test_convexity_probes_quadratic_and_logistic():
     # (grad(a)-grad(b))'(a-b) >= mu ||a-b||^2 and the Lipschitz mirror
     rng = np.random.default_rng(7)
-    funcs = [c for c in quadratic_family(2, 3, 3, (1.0, 2.5), seed=2)
-             .locals[0].components]
-    funcs += [LogisticSample(c=rng.standard_normal(3), label=1, lam=2.0,
-                             m=3, q=4)]
+    params = quadratic_family(2, 3, 3, (1.0, 2.5), seed=2).stacked.params
+    funcs = [Row(Quadratic, params, k) for k in range(3)]
+    funcs += [Row(LogisticSample, logistic_params(
+        rng.standard_normal((1, 3)), [1], 2.0 / 3, 4), q=4)]
     for f in funcs:
         for _ in range(1000):
             a = rng.standard_normal(3)
@@ -169,24 +250,28 @@ def test_convexity_probes_quadratic_and_logistic():
 # ---------------------------------------------------------------------------
 
 def test_disk_inside_is_flat():
-    f = DiskDistance(r=np.array([1.0, 1.0]), c_meas=4.0, a=4.0)  # radius 1
+    f = disk([1.0, 1.0], 1.0)
     x = np.array([1.2, 1.3])
     assert f.value(x) == 0.0
     assert np.all(f.gradient(x) == 0.0)
 
 
 def test_disk_unit_circle_projection():
-    f = DiskDistance(r=np.zeros(2), c_meas=1.0, a=1.0)  # radius 1
+    f = disk([0.0, 0.0], 1.0)
     x = np.array([2.0, 0.0])
-    assert np.allclose(f.project(x), [1.0, 0.0], atol=1e-15)
+    # the projection is x - gradient / 2
+    assert np.allclose(x - f.gradient(x) / 2.0, [1.0, 0.0], atol=1e-15)
     assert f.value(x) == pytest.approx(1.0, abs=1e-14)
     assert np.allclose(f.gradient(x), [2.0, 0.0], atol=1e-14)
 
 
 def test_disk_clamps_nonpositive_measurement():
-    f = DiskDistance(r=np.zeros(2), c_meas=-3.0, a=100.0)
-    assert f.clamped
-    assert np.isfinite(f.radius) and f.radius > 0
+    prob, _ = harness.localization_instance(m=5, q_i=40, sigma=100.0, seed=0)
+    radius = prob.stacked.params[1]
+    assert prob.clamped_measurements > 0
+    assert np.isfinite(radius).all() and (radius > 0).all()
+    floor_radius = np.sqrt(100.0 / (objectives.MEASUREMENT_CLAMP_FRACTION * 100.0))
+    assert (radius == floor_radius).sum() == prob.clamped_measurements
 
 
 def test_disk_finite_difference_off_boundary():
@@ -194,9 +279,10 @@ def test_disk_finite_difference_off_boundary():
     checked = 0
     while checked < 50:
         r = rng.uniform(-2, 2, size=2)
-        f = DiskDistance(r=r, c_meas=rng.uniform(0.5, 2.0), a=1.0)
+        radius = np.sqrt(1.0 / rng.uniform(0.5, 2.0))
+        f = disk(r, radius)
         x = rng.uniform(-4, 4, size=2)
-        if abs(np.linalg.norm(x - r) - f.radius) < 1e-4:
+        if abs(np.linalg.norm(x - r) - radius) < 1e-4:
             continue
         fd_check(f, [x], 1e-5)
         checked += 1
@@ -204,7 +290,7 @@ def test_disk_finite_difference_off_boundary():
 
 def test_disk_convexity_probe():
     rng = np.random.default_rng(12)
-    f = DiskDistance(r=np.array([0.5, -0.5]), c_meas=1.0, a=1.0)
+    f = disk([0.5, -0.5], 1.0)
     for _ in range(1000):
         a = rng.uniform(-3, 3, size=2)
         b = rng.uniform(-3, 3, size=2)
@@ -217,21 +303,21 @@ def test_disk_convexity_probe():
 
 def test_kmeans_single_center_is_quadratic():
     p = np.array([1.0, 2.0])
-    f = KMeansPoint(p=p, k=1)
+    f = kmeans(p, 1)
     x = np.array([0.5, 0.5])
     assert f.value(x) == pytest.approx(np.sum((p - x) ** 2))
     assert np.allclose(f.gradient(x), 2.0 * (x - p))
 
 
 def test_kmeans_nearest_center_selection():
-    f = KMeansPoint(p=np.zeros(2), k=2)
+    f = kmeans(np.zeros(2), 2)
     x = np.array([1.0, 0.0, 3.0, 0.0])  # centers (1,0) and (3,0)
     assert f.value(x) == pytest.approx(1.0)
     assert np.allclose(f.gradient(x), [2.0, 0.0, 0.0, 0.0])
 
 
 def test_kmeans_tie_breaks_low_index():
-    f = KMeansPoint(p=np.zeros(2), k=2)
+    f = kmeans(np.zeros(2), 2)
     x = np.array([1.0, 0.0, -1.0, 0.0])  # equidistant centers
     g = f.gradient(x)
     assert np.allclose(g, [2.0, 0.0, 0.0, 0.0])
@@ -241,9 +327,10 @@ def test_kmeans_finite_difference_off_boundaries():
     rng = np.random.default_rng(13)
     checked = 0
     while checked < 50:
-        f = KMeansPoint(p=rng.standard_normal(2), k=3)
+        p = rng.standard_normal(2)
+        f = kmeans(p, 3)
         x = rng.uniform(-3, 3, size=6)
-        d = np.sqrt(np.sum((x.reshape(3, 2) - f.p) ** 2, axis=1))
+        d = np.sqrt(np.sum((x.reshape(3, 2) - p) ** 2, axis=1))
         d.sort()
         if d[1] - d[0] < 1e-4:
             continue
@@ -256,19 +343,19 @@ def test_kmeans_finite_difference_off_boundaries():
 # ---------------------------------------------------------------------------
 
 def test_full_local_gradient_singleton():
-    f = LogisticSample(c=np.ones(2), label=1, lam=1.0, m=1, q=1)
-    lo = LocalObjective(components=[f])
+    lo = logistic(np.ones(2), 1, lam=1.0, m=1, q=1)
     x = np.array([0.3, -0.7])
-    assert np.array_equal(full_local_gradient(lo, x), f.gradient(x))
+    row = Row(LogisticSample, logistic_params(np.ones((1, 2)), [1], 1.0, 1))
+    assert lo.q == 1 and lo.dim == 2
+    assert np.array_equal(lo.full_gradient(x), row.gradient(x))
 
 
 def test_full_local_gradient_matrix_assembly():
     prob = quadratic_family(1, 5, 3, (1.0, 2.0), seed=8)
     lo = prob.locals[0]
-    a_bar = sum(c.a for c in lo.components) / lo.q
-    b_bar = sum(c.b for c in lo.components) / lo.q
+    a, b = prob.stacked.params
     x = np.array([0.1, -0.2, 0.5])
-    assert np.allclose(full_local_gradient(lo, x), a_bar @ x + b_bar,
+    assert np.allclose(lo.full_gradient(x), a.mean(axis=0) @ x + b.mean(axis=0),
                        atol=1e-13)
 
 
@@ -276,34 +363,21 @@ def test_full_local_gradient_logistic_at_zero():
     rng = np.random.default_rng(2)
     feats = rng.standard_normal((4, 3))
     labels = np.array([1, -1, 1, -1])
-    lo = objectives.make_logistic_local(feats, labels, lam=1.0, m=2)
+    lo = objectives.logistic_problem(feats, labels, lam=2.0, m=1).locals[0]
     expect = -np.sum(labels[:, None] * feats, axis=0) / 2.0
     assert np.allclose(lo.full_gradient(np.zeros(3)), expect, atol=1e-14)
-
-
-def component_loop(prob, x):
-    """Aggregate gradient and value summed component by component."""
-    g = sum(full_local_gradient(lo, x) for lo in prob.locals) / prob.m
-    v = sum(sum(c.value(x) for c in lo.components) / lo.q
-            for lo in prob.locals) / prob.m
-    return g, v
-
-
-def sum_before_312(values):
-    """Python's ``sum`` of floats as CPython computed it before 3.12: one
-    addition at a time, from 0 (3.12 compensates)."""
-    return functools.reduce(operator.add, values, 0)
 
 
 def closure_loop(prob, x):
     """Aggregate gradient and value of a logistic problem, agent by agent,
     with the arithmetic of a per-agent vectorized oracle: lam_m*x minus
     sigmoid(-lc x) @ lc, and 0.5*lam_m*|x|^2 plus the sum of log(1+e^z)."""
+    st = prob.stacked
     g = np.zeros(prob.dim)
     values = []
-    for lo in prob.locals:
-        lc = np.stack([c.label * c.c for c in lo.components])
-        lam_m = lo.components[0].lam_m
+    for start, q in zip(st.offsets.tolist(), st.q.tolist()):
+        lc = st.params[1][start:start + q]
+        lam_m = float(st.params[0][start, 0])
         z = -(lc @ x)
         g += lam_m * x - expit(z) @ lc
         soft = np.maximum(z, 0.0) + np.log1p(np.exp(-np.abs(z)))
@@ -313,11 +387,9 @@ def closure_loop(prob, x):
 
 def test_stacked_aggregate_matches_loop():
     rng = np.random.default_rng(6)
-    prob = objectives.ProblemInstance(locals=[
-        objectives.make_logistic_local(rng.standard_normal((8, 4)),
-                                       rng.choice([-1, 1], size=8),
+    prob = objectives.logistic_problem(rng.standard_normal((24, 4)),
+                                       rng.choice([-1, 1], size=24),
                                        lam=2.0, m=3)
-        for _ in range(3)])
     for _ in range(20):
         x = rng.standard_normal(4)
         g, v = component_loop(prob, x)
@@ -340,11 +412,10 @@ def test_stacked_aggregate_is_bit_identical_to_agent_loop(m, q, n):
 def test_stacked_aggregate_uneven_q():
     rng = np.random.default_rng(13)
     sizes = [3, 200, 17, 64, 5, 128, 3]
-    prob = objectives.ProblemInstance(locals=[
-        objectives.make_logistic_local(rng.standard_normal((q, 4)),
-                                       rng.choice([-1, 1], size=q),
-                                       lam=1.0, m=len(sizes))
-        for q in sizes])
+    total = sum(sizes)
+    prob = objectives.ProblemInstance(LogisticSample, logistic_params(
+        rng.standard_normal((total, 4)), rng.choice([-1, 1], size=total),
+        1.0 / len(sizes), np.repeat(sizes, sizes)), sizes)
     assert (prob.q_min, prob.q_max) == (3, 200)
     for _ in range(40):
         x = 3.0 * rng.standard_normal(4)
@@ -356,21 +427,29 @@ def test_stacked_aggregate_uneven_q():
 
 
 def test_aggregate_of_other_agents_sums_agent_by_agent():
+    # every family but the logistic ones: the stacked aggregate is, bit for
+    # bit, the per-component loop, with even and uneven agents
     rng = np.random.default_rng(4)
-    quad = quadratic_family(1, 3, 3, (1.0, 2.0), seed=1).locals[0]
-    logi = objectives.make_logistic_local(rng.standard_normal((4, 3)),
-                                          [1, -1, 1, -1], lam=1.0, m=2)
-    # components whose q is not their agent's component count
-    odd = LocalObjective(components=[
-        LogisticSample(c=rng.standard_normal(3), label=1, lam=1.0, m=2, q=1)
-        for _ in range(3)])
-    for locals_ in ([quad, logi], [logi, odd]):
-        prob = objectives.ProblemInstance(locals=locals_)
-        for _ in range(5):
-            x = rng.standard_normal(3)
+    problems = [(quadratic_family(3, 4, n, (0.5, 3.0), seed=n),
+                 lambda n=n: rng.standard_normal(n)) for n in (1, 2, 3, 4, 8)]
+    problems.append((harness.localization_instance(m=10, q_i=20, seed=0)[0],
+                     lambda: rng.uniform(0.0, 100.0, 2)))
+    pts = rng.standard_normal((18, 2)) * 3.0
+    problems.append((objectives.ProblemInstance(
+        KMeansPoint, [pts, np.full(18, 3)], [5, 1, 9, 3]),
+        lambda: rng.uniform(-4, 4, 6)))
+    sizes = [3, 1, 6, 2]
+    params = quadratic_family(1, 12, 3, (0.5, 3.0), seed=9).stacked.params
+    problems.append((objectives.ProblemInstance(Quadratic, params, sizes),
+                     lambda: rng.standard_normal(3)))
+    for prob, point in problems:
+        for _ in range(20):
+            x = point()
             g, v = component_loop(prob, x)
             assert np.array_equal(prob.aggregate_gradient(x), g)
             assert prob.aggregate_value(x) == v
+            values = [lo.value(x) for lo in prob.locals]
+            assert sum_before_312(values) / prob.m == v
 
 
 @pytest.mark.parametrize("m,q", [(20, 30), (100, 30), (1000, 10)])
@@ -378,8 +457,8 @@ def test_aggregate_value_equals_the_python_sum_it_replaced(m, q):
     # the per-agent values as the stacked oracle forms them, summed as
     # sum(values.tolist()) / m used to sum them
     prob = harness.gaussian_logistic_instance(m, q, n=4, seed=3)
-    lam_m, lc, _ = prob._stack().params
-    agent_lam = lam_m[prob._stack().offsets, 0]
+    lam_m, lc, _ = prob.stacked.params
+    agent_lam = lam_m[prob.stacked.offsets, 0]
     rng = np.random.default_rng(q + m)
     for _ in range(100):
         x = rng.standard_normal(4) * 10.0 ** rng.uniform(-8, 1)
@@ -391,72 +470,61 @@ def test_aggregate_value_equals_the_python_sum_it_replaced(m, q):
         assert got == sum_before_312(values.tolist()) / m
 
 
-def constants_walked_three_times(prob):
-    """mu, lip and the logistic test as three walks over the components."""
-    pairs = [(lo, c) for lo in prob.locals for c in lo.components]
-    return (min(c.mu for _, c in pairs), max(c.lip for _, c in pairs),
-            all(type(c) is LogisticSample and c.q == lo.q
-                and c.lam_m == lo.components[0].lam_m for lo, c in pairs))
+def constants_walked_row_by_row(prob):
+    """mu and lip as min and max over the rows, each row's constants formed
+    as its component object formed them."""
+    st = prob.stacked
+    q = np.repeat(st.q, st.q).tolist()
+    if prob.kind is Quadratic:
+        eig = [np.linalg.eigvalsh(a) for a in st.params[0]]
+        return min(float(e[0]) for e in eig), max(float(e[-1]) for e in eig)
+    if prob.kind is LogisticSample:
+        lam_m = [float(v) for v in st.params[0][:, 0]]
+        return min(lam_m), max(lm + qk * float(c.dot(c)) / 4.0
+                               for lm, qk, c in zip(lam_m, q, st.params[1]))
+    return 0.0, 2.0
 
 
 def test_problem_constants_match_three_walks_on_every_family():
     rng = np.random.default_rng(8)
-    quad = quadratic_family(2, 3, 3, (1.0, 2.0), seed=1)
-    logi = [objectives.make_logistic_local(rng.standard_normal((4, 3)),
-                                           [1, -1, 1, -1], lam=lam, m=2)
-            for lam in (1.0, 3.0)]
-    odd_q = LocalObjective(components=[
-        LogisticSample(c=rng.standard_normal(3), label=1, lam=1.0, m=2, q=1)
-        for _ in range(3)])
-    odd_lam = LocalObjective(components=[
-        LogisticSample(c=rng.standard_normal(3), label=1, lam=lam, m=2, q=2)
-        for lam in (1.0, 2.0)])
+    sizes = [4, 1, 3]
     problems = {
-        "quadratic": quad,
+        "quadratic": quadratic_family(2, 3, 3, (1.0, 2.0), seed=1),
         "gaussian_logistic": harness.gaussian_logistic_instance(6, 10, seed=2),
-        "logistic, lam per agent": objectives.ProblemInstance(locals=logi),
+        "logistic, uneven q": objectives.ProblemInstance(
+            LogisticSample, logistic_params(
+                rng.standard_normal((8, 3)), rng.choice([-1, 1], size=8),
+                0.5, np.repeat(sizes, sizes)), sizes),
         "localization": harness.localization_instance(
             m=5, q_i=8, sigma=1.0, seed=4)[0],
         "kmeans": harness.kmeans_instance(m=3, q_i=6, seed=1),
-        "quadratic then logistic": objectives.ProblemInstance(
-            locals=[quad.locals[0], logi[0]]),
-        "logistic then quadratic": objectives.ProblemInstance(
-            locals=[logi[1], quad.locals[1]]),
-        "component q is not the agent's": objectives.ProblemInstance(
-            locals=[logi[0], odd_q]),
-        "two lam_m in one agent": objectives.ProblemInstance(
-            locals=[logi[0], odd_lam]),
     }
-    logistic = {"gaussian_logistic", "logistic, lam per agent"}
     for name, prob in problems.items():
-        mu, lip, is_logistic = constants_walked_three_times(prob)
-        assert (prob.mu, prob.lip) == (mu, lip), name
-        assert (prob._logistic is not None) == is_logistic == (name in logistic)
-        if is_logistic:
-            assert prob._logistic.tolist() == [
-                lo.components[0].lam_m for lo in prob.locals]
+        assert (prob.mu, prob.lip) == constants_walked_row_by_row(prob), name
+        assert type(prob.mu) is float and type(prob.lip) is float, name
 
 
 def test_dimension_mismatch_rejected():
     prob = quadratic_family(1, 2, 3, (1.0, 2.0), seed=0)
     with pytest.raises(InvalidArgumentError):
-        full_local_gradient(prob.locals[0], np.zeros(4))
+        prob.locals[0].full_gradient(np.zeros(4))
+    with pytest.raises(InvalidArgumentError):
+        prob.locals[0].value(np.zeros(2))
 
 
 def test_aggregate_consistency():
     prob = quadratic_family(3, 2, 2, (1.0, 2.0), seed=4)
     rng = np.random.default_rng(1)
     x = rng.standard_normal(2)
-    g = sum(full_local_gradient(lo, x) for lo in prob.locals) / prob.m
+    g = sum(lo.full_gradient(x) for lo in prob.locals) / prob.m
     assert np.allclose(prob.aggregate_gradient(x), g, atol=1e-14)
 
 
 def test_problem_constants():
     prob = quadratic_family(3, 4, 2, (0.7, 3.0), seed=6)
-    mus = [c.mu for lo in prob.locals for c in lo.components]
-    lips = [c.lip for lo in prob.locals for c in lo.components]
-    assert prob.mu == pytest.approx(min(mus))
-    assert prob.lip == pytest.approx(max(lips))
+    eig = np.linalg.eigvalsh(prob.stacked.params[0])
+    assert prob.mu == pytest.approx(eig[:, 0].min())
+    assert prob.lip == pytest.approx(eig[:, -1].max())
     assert prob.q_min == prob.q_max == 4
 
 
@@ -492,55 +560,57 @@ def test_points_csv_loader(tmp_path):
 # ---------------------------------------------------------------------------
 
 def stacked_cases():
-    """(components, points) per family, including the edge cases."""
+    """(class, params, q per row, points) per family, edge cases included."""
     rng = np.random.default_rng(21)
-    quad = quadratic_family(1, 6, 3, (1.0, 3.0), seed=2).locals[0].components
-    logi = [LogisticSample(c=rng.standard_normal(3), label=int(l), lam=1.5,
-                           m=4, q=6) for l in rng.choice([-1, 1], size=6)]
-    disks = [DiskDistance(r=rng.uniform(-2, 2, 2), c_meas=rng.uniform(0.5, 2),
-                          a=1.0) for _ in range(4)]
-    disks.append(DiskDistance(r=np.zeros(2), c_meas=-3.0, a=1.0))  # clamped
-    disks.append(DiskDistance(r=np.ones(2), c_meas=4.0, a=4.0))    # radius 1
+    quad = quadratic_family(1, 6, 3, (1.0, 3.0), seed=2).stacked.params
+    logi = logistic_params(rng.standard_normal((6, 3)),
+                           rng.choice([-1, 1], size=6), 1.5 / 4, 6)
+    disks = [rng.uniform(-2, 2, (6, 2)),
+             np.sqrt(1.0 / rng.uniform(0.5, 2, 6))]
+    disks[0][4], disks[1][4] = 0.0, 1e-3                    # a tiny disk
+    disks[0][5], disks[1][5] = 1.0, 1.0                     # radius 1
     disk_x = rng.uniform(-4, 4, (6, 2))
     disk_x[5] = [1.2, 1.3]                                  # inside its disk
-    means = [KMeansPoint(p=rng.standard_normal(2), k=3) for _ in range(4)]
-    means.append(KMeansPoint(p=np.zeros(2), k=3))
+    means = [rng.standard_normal((5, 2)), np.full(5, 3)]
+    means[0][4] = 0.0
     mean_x = rng.uniform(-3, 3, (5, 6))
     mean_x[4] = [1.0, 0.0, -1.0, 0.0, 0.0, 5.0]             # tie of centers 0, 1
-    return [(quad, rng.standard_normal((6, 3))),
-            (logi, 3.0 * rng.standard_normal((6, 3))),
-            (disks, disk_x), (means, mean_x)]
+    return [(Quadratic, quad, 6, rng.standard_normal((6, 3))),
+            (LogisticSample, logi, 6, 3.0 * rng.standard_normal((6, 3))),
+            (DiskDistance, disks, 1, disk_x), (KMeansPoint, means, 1, mean_x)]
 
 
 def test_stacked_gradient_matches_scalar():
-    for comps, x in stacked_cases():
-        cls = type(comps[0])
-        got = cls.stacked_gradient(cls.stack_params(comps), x)
-        want = np.stack([c.gradient(xk) for c, xk in zip(comps, x)])
-        assert np.abs(got - want).max() <= 1e-12, cls.__name__
-    disks, x = stacked_cases()[2]
-    assert disks[4].clamped
-    assert np.all(DiskDistance.stacked_gradient(
-        DiskDistance.stack_params(disks), x)[5] == 0.0)
-    means, x = stacked_cases()[3]
-    tie = KMeansPoint.stacked_gradient(KMeansPoint.stack_params(means), x)[4]
+    for cls, params, q, x in stacked_cases():
+        got = cls.stacked_gradient(params, x)
+        rows = [scalar_oracle(cls, [p[k] for p in params], q, x[k])
+                for k in range(len(x))]
+        want = np.stack([g for _, g in rows])
+        if cls is LogisticSample:
+            assert np.abs(got - want).max() <= 1e-12
+            continue
+        # the other classes round as their scalar oracles did
+        assert np.array_equal(got, want), cls.__name__
+        assert np.array_equal(cls.stacked_value(params, x),
+                              [v for v, _ in rows]), cls.__name__
+    _, disks, _, x = stacked_cases()[2]
+    assert np.all(DiskDistance.stacked_gradient(disks, x)[5] == 0.0)
+    _, means, _, x = stacked_cases()[3]
+    tie = KMeansPoint.stacked_gradient(means, x)[4]
     assert np.array_equal(tie, [2.0, 0.0, 0.0, 0.0, 0.0, 0.0])
 
 
 def test_problem_oracle_matches_per_agent_loops():
-    comps = quadratic_family(1, 9, 2, (1.0, 2.0), seed=3).locals[0].components
+    params = quadratic_family(1, 9, 2, (1.0, 2.0), seed=3).stacked.params
     sizes = [3, 1, 5]                         # uneven q exercises the offsets
-    cuts = np.cumsum([0] + sizes)
-    prob = objectives.ProblemInstance(locals=[
-        LocalObjective(components=comps[a:b]) for a, b in zip(cuts, cuts[1:])])
+    prob = objectives.ProblemInstance(Quadratic, params, sizes)
     rng = np.random.default_rng(5)
     x = rng.standard_normal((3, 2))
-    want = np.stack([full_local_gradient(lo, xi)
-                     for lo, xi in zip(prob.locals, x)])
+    want = np.stack([lo.full_gradient(xi) for lo, xi in zip(prob.locals, x)])
     assert np.abs(prob.local_gradients(x) - want).max() <= 1e-12
     for h in ([0, 0, 0], [2, 0, 4], [1, 0, 3]):
-        want = np.stack([lo.components[hi].gradient(xi)
-                         for lo, hi, xi in zip(prob.locals, h, x)])
-        assert np.abs(prob.component_gradients(x, np.array(h)) - want).max() \
-            <= 1e-12
-
+        want = np.stack([scalar_oracle(Quadratic, [p[start + hi] for p in params],
+                                       q, xi)[1]
+                         for start, q, hi, xi in zip(prob.stacked.offsets, sizes,
+                                                     h, x)])
+        assert np.array_equal(prob.drawn_gradients(x, np.array(h) + 1), want)

@@ -5,7 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sdiging import graph, saga
-from sdiging.objectives import full_local_gradient, quadratic_family
+from sdiging.objectives import quadratic_family
 
 
 @settings(max_examples=40, deadline=None)
@@ -29,14 +29,15 @@ def test_mixing_matrix_invariants(m, p, seed):
        seed=st.integers(min_value=0, max_value=2 ** 16),
        n_scrambles=st.integers(min_value=0, max_value=8))
 def test_saga_unbiased_for_arbitrary_table_state(q, seed, n_scrambles):
-    lo = quadratic_family(1, q, 2, (1.0, 3.0), seed=seed).locals[0]
+    prob = quadratic_family(1, q, 2, (1.0, 3.0), seed=seed)
     rng = np.random.default_rng(seed)
     x0 = rng.standard_normal(2)
-    grads = np.stack([c.gradient(x0) for c in lo.components])
+    grads = np.concatenate([prob.drawn_gradients(x0[None], np.array([h]))
+                            for h in range(1, q + 1)])
     t = saga.GradientTables(grads[None], [q], seed, [0])
 
     def estimate(tables, x, idx):
-        fresh = lo.components[idx - 1].gradient(x)[None]
+        fresh = prob.drawn_gradients(x[None], np.array([idx]))
         return tables.update(np.array([idx]), fresh)[0]
 
     for _ in range(n_scrambles):
@@ -45,6 +46,6 @@ def test_saga_unbiased_for_arbitrary_table_state(q, seed, n_scrambles):
     acc = np.zeros(2)
     for idx in range(1, q + 1):
         acc += estimate(copy.deepcopy(t), x, idx)
-    ref = full_local_gradient(lo, x)
+    ref = prob.locals[0].full_gradient(x)
     assert np.linalg.norm(acc / q - ref) <= 1e-12 * (1 + np.linalg.norm(ref))
     t.check_sums()

@@ -6,36 +6,45 @@ import pytest
 from sdiging import engine, graph, saga
 from sdiging.errors import InvalidArgumentError
 from sdiging.objectives import (
-    LocalObjective,
-    LogisticSample,
     ProblemInstance,
-    full_local_gradient,
+    Quadratic,
+    logistic_problem,
     quadratic_family,
 )
 
 
 def quad_local(q, n, seed):
-    return quadratic_family(1, q, n, (1.0, 3.0), seed=seed).locals[0]
+    """A one-agent quadratic problem."""
+    return quadratic_family(1, q, n, (1.0, 3.0), seed=seed)
 
 
 def logistic_local(q, n, seed):
+    """A one-agent logistic problem with lam/m = 1/2."""
     rng = np.random.default_rng(seed)
-    comps = [LogisticSample(c=rng.standard_normal(n),
-                            label=int(rng.choice([-1, 1])),
-                            lam=1.0, m=2, q=q) for _ in range(q)]
-    return LocalObjective(components=comps)
+    return logistic_problem(rng.standard_normal((q, n)),
+                            rng.choice([-1, 1], size=q), lam=0.5, m=1)
 
 
-def table_at(lo, x0, seed, agent_id=0):
+def component_gradient(prob, x, idx):
+    """Gradient of a one-agent problem's component idx (1-based) at x."""
+    return prob.drawn_gradients(np.asarray(x, dtype=float)[None],
+                                np.array([idx]))
+
+
+def full_gradient(prob, x):
+    return prob.locals[0].full_gradient(x)
+
+
+def table_at(prob, x0, seed, agent_id=0):
     """One-agent stacked tables with every slot evaluated at x0."""
-    grads = np.stack([c.gradient(np.asarray(x0, dtype=float))
-                      for c in lo.components])
-    return saga.GradientTables(grads[None], [lo.q], seed, [agent_id])
+    grads = np.concatenate([component_gradient(prob, x0, h)
+                            for h in range(1, prob.q_max + 1)])
+    return saga.GradientTables(grads[None], [prob.q_max], seed, [agent_id])
 
 
-def estimate(t, lo, x, idx):
+def estimate(t, prob, x, idx):
     """SAGA estimate of one-agent tables at x from component idx (1-based)."""
-    return t.update(np.array([idx]), lo.components[idx - 1].gradient(x)[None])[0]
+    return t.update(np.array([idx]), component_gradient(prob, x, idx))[0]
 
 
 def draw(t):
@@ -46,7 +55,7 @@ def test_init_table_quadratic_at_zero():
     lo = quad_local(2, 3, seed=1)
     tables = table_at(lo, np.zeros(3), seed=0)
     t = tables[0]
-    b = [c.b for c in lo.components]
+    b = lo.stacked.params[1]
     assert np.allclose(t.stored_grads[0], b[0], atol=1e-15)
     assert np.allclose(t.stored_grads[1], b[1], atol=1e-15)
     assert np.allclose(t.grad_sum, b[0] + b[1], atol=1e-14)
@@ -55,8 +64,8 @@ def test_init_table_quadratic_at_zero():
 
 def test_init_table_logistic_at_zero():
     lo = logistic_local(3, 2, seed=2)
-    t = engine.make_tables(ProblemInstance(locals=[lo]), seed=0)
-    expect = sum(-(c.q * c.label / 2.0) * c.c for c in lo.components)
+    t = engine.make_tables(lo, seed=0)
+    expect = -(3 / 2.0) * lo.stacked.params[1].sum(axis=0)
     assert np.allclose(t[0].grad_sum, expect, atol=1e-13)
     t.check_sums()
 
@@ -65,8 +74,8 @@ def test_init_estimate_is_full_gradient():
     lo = quad_local(4, 2, seed=3)
     x0 = np.array([0.5, -1.0])
     t = table_at(lo, x0, seed=0)
-    s = engine.init_state("sdiging", ProblemInstance(locals=[lo]), t)
-    assert np.allclose(s.g_prev[0], full_local_gradient(lo, x0), atol=1e-14)
+    s = engine.init_state("sdiging", lo, t)
+    assert np.allclose(s.g_prev[0], full_gradient(lo, x0), atol=1e-14)
 
 
 def test_fresh_table_correction_cancels():
@@ -74,7 +83,7 @@ def test_fresh_table_correction_cancels():
     x0 = np.array([1.0, 2.0])
     t = table_at(lo, x0, seed=0)
     g = estimate(t, lo, x0, 2)
-    assert np.allclose(g, full_local_gradient(lo, x0), atol=1e-13)
+    assert np.allclose(g, full_gradient(lo, x0), atol=1e-13)
 
 
 def test_q1_degenerates_to_full_gradient():
@@ -82,7 +91,7 @@ def test_q1_degenerates_to_full_gradient():
     t = table_at(lo, np.zeros(2), seed=0)
     x = np.array([0.3, -0.4])
     g = estimate(t, lo, x, 1)
-    assert np.allclose(g, lo.components[0].gradient(x), atol=1e-15)
+    assert np.allclose(g, component_gradient(lo, x, 1)[0], atol=1e-15)
     assert draw(t) == 1
 
 
@@ -102,7 +111,7 @@ def test_unbiasedness_by_enumeration():
             for idx in range(1, q + 1):
                 acc += estimate(copy.deepcopy(t), lo, x, idx)
             acc /= q
-            ref = full_local_gradient(lo, x)
+            ref = full_gradient(lo, x)
             assert np.linalg.norm(acc - ref) <= 1e-12 * (1 + np.linalg.norm(ref))
 
 
@@ -110,21 +119,18 @@ def test_unbiasedness_across_uneven_stacked_agents():
     # every row of engine tables with uneven q (zero padding in the short
     # rows) averages to its agent's full local gradient
     rng = np.random.default_rng(16)
-    comps = quadratic_family(1, 12, 3, (1.0, 3.0), seed=4).locals[0].components
-    cuts = np.cumsum([0, 2, 5, 1, 4])
-    prob = ProblemInstance(locals=[LocalObjective(components=comps[a:b])
-                                   for a, b in zip(cuts, cuts[1:])])
-    q = np.array([lo.q for lo in prob.locals])
+    params = quadratic_family(1, 12, 3, (1.0, 3.0), seed=4).stacked.params
+    prob = ProblemInstance(Quadratic, params, [2, 5, 1, 4])
+    q = prob.q
     t = engine.make_tables(prob, seed=3)
     for _ in range(20):
         idx = t.draw()
-        t.update(idx, prob.component_gradients(rng.standard_normal((4, 3)),
-                                                idx - 1))
+        t.update(idx, prob.drawn_gradients(rng.standard_normal((4, 3)), idx))
     x = rng.standard_normal((4, 3))
     acc = np.zeros((4, 3))
     for k in range(prob.q_max):
         idx = np.minimum(k, q - 1) + 1
-        g = copy.deepcopy(t).update(idx, prob.component_gradients(x, idx - 1))
+        g = copy.deepcopy(t).update(idx, prob.drawn_gradients(x, idx))
         acc += np.where((k < q)[:, None], g, 0.0)
     ref = prob.local_gradients(x)
     assert np.abs(acc / q[:, None] - ref).max() <= \
@@ -307,8 +313,9 @@ def test_replay_resumes_after_a_carried_half_word(q):
 
 
 def test_uneven_q_with_single_component_rows():
-    locs = [quad_local(q, 2, seed=20 + q) for q in (1, 7, 30, 1)]
-    prob = ProblemInstance(locals=locs)
+    params = quad_local(39, 2, seed=20).stacked.params
+    prob = ProblemInstance(Quadratic, params, [1, 7, 30, 1])
+    locs = prob.locals
     n = 3 * saga.BLOCK
     tables = engine.make_tables(prob, seed=41)
     got = np.stack([tables.draw() for _ in range(n)])
