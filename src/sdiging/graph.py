@@ -3,7 +3,8 @@
 Agents are numbered 1..m in ``Topology.edges`` and edge-list files; edge
 arrays and matrices are 0-indexed numpy arrays.  A mixing matrix stores
 one form, the operator the round multiplies by (dense or CSR); its
-laziness is chosen by a Cholesky positivity test, without a decomposition.
+laziness is chosen by one Cholesky positivity test, after a 20-step Lanczos
+bound has dropped the levels that must fail, without an m x m decomposition.
 Its spectrum is computed only when something reads it, once, and every
 spectral quantity is read from it; the dense ``w`` is derived on demand.
 """
@@ -30,6 +31,7 @@ _LAZINESS_LADDER = (0.1, 0.2, 0.3, 0.4, 0.5)
 # (0.5 MB at m = 1000); np.linalg.cholesky of all of W would hold two more
 # m x m copies besides its input.
 _CHOLESKY_ROWS = 64
+_LANCZOS_STEPS = 20     # of the bound that drops levels certain to fail
 
 _GNP_MAX_RETRIES = 1000
 
@@ -274,15 +276,51 @@ def build_topology(kind: str, m: int, p: float | None = None, seed: int = 0) -> 
     raise InvalidArgumentError(f"unknown topology kind {kind!r}")
 
 
+def _metropolis_edges(t: Topology):
+    """Edge end points ``i``, ``j`` and weights 1/(1 + max(deg_i, deg_j))."""
+    deg, (i, j) = t.degrees(), t.edge_array.T
+    return i, j, 1.0 / (1.0 + np.maximum(deg[i], deg[j]))
+
+
 def _metropolis_raw(t: Topology) -> np.ndarray:
     """Dense Metropolis-Hastings weights of ``t``, before any blend."""
     m = t.m
-    deg = t.degrees()
-    i, j = t.edge_array.T
+    i, j, w_e = _metropolis_edges(t)
     w_raw = np.zeros((m, m))
-    w_raw[i, j] = w_raw[j, i] = 1.0 / (1.0 + np.maximum(deg[i], deg[j]))
+    w_raw[i, j] = w_raw[j, i] = w_e
     np.fill_diagonal(w_raw, 1.0 - w_raw.sum(axis=1))
     return w_raw
+
+
+def _lanczos_bound(t: Topology) -> float:
+    """An upper bound on lambda_min(W_raw), the same bits on every call: the
+    Rayleigh quotient at the lowest Ritz vector of _LANCZOS_STEPS Lanczos
+    steps from a fixed start, fully reorthogonalized.  W_raw is applied
+    through the edges; its diagonal, summed edge by edge, is W_raw's to a
+    few ulps."""
+    i, j, w_e = _metropolis_edges(t)
+    diag = 1.0 - (np.bincount(i, w_e, t.m) + np.bincount(j, w_e, t.m))
+
+    def apply(v):
+        return (diag * v + np.bincount(i, w_e * v[j], t.m)
+                + np.bincount(j, w_e * v[i], t.m))
+
+    k = min(_LANCZOS_STEPS, t.m)
+    q, tri = np.zeros((k, t.m)), np.zeros((k, k))
+    v = np.random.default_rng(0).standard_normal(t.m)
+    q[0] = v / np.linalg.norm(v)
+    for s in range(k):
+        u = apply(q[s])
+        tri[s, s] = q[s] @ u
+        for _ in range(2):                  # twice is enough
+            u -= q[:s + 1].T @ (q[:s + 1] @ u)
+        beta = np.linalg.norm(u)
+        if s + 1 == k or beta <= 1e-12:     # done, or an invariant subspace
+            break
+        tri[s, s + 1] = tri[s + 1, s] = beta
+        q[s + 1] = u / beta
+    y = np.linalg.eigh(tri[:s + 1, :s + 1])[1][:, 0] @ q[:s + 1]
+    return float(y @ apply(y) / (y @ y))
 
 
 def _positive_definite(a: np.ndarray, scale: float, shift: float) -> bool:
@@ -291,7 +329,8 @@ def _positive_definite(a: np.ndarray, scale: float, shift: float) -> bool:
 
     A blocked Cholesky factorization, in place in the lower triangle: each
     diagonal block of at most _CHOLESKY_ROWS rows is factored, and its
-    Schur complement update is applied to the rows below it.
+    Schur complement update is applied to the rows below it, through the
+    inverse of the block's factor, which is cheaper than a solve against it.
     """
     m, k = len(a), _CHOLESKY_ROWS
     a *= scale
@@ -304,7 +343,7 @@ def _positive_definite(a: np.ndarray, scale: float, shift: float) -> bool:
             return False
         if e >= m:
             return True
-        x = np.linalg.solve(lead, a[e:, s:e].T)     # L^-1 C
+        x = np.linalg.inv(lead) @ a[e:, s:e].T      # L^-1 C
         del lead
         for r in range(e, m, k):                    # D -= C^T B^-1 C
             a[r:r + k, e:r + k] -= x[:, r - e:r - e + k].T @ x[:, :r - e + k]
@@ -323,6 +362,10 @@ def metropolis_weights(t: Topology, laziness: float = 0.1) -> MixingMatrix:
     fails, laziness is raised through 0.1, 0.2, ..., 0.5; the level used is
     recorded on the result.  The test is a Cholesky factorization, so no
     spectrum is computed here: ``MixingMatrix.eig_w`` computes it when read.
+    Beyond _CHOLESKY_ROWS agents, the levels that must fail are dropped
+    first, by a Lanczos bound rq >= lambda_min(W_raw); since only the test
+    accepts a level, the level used is the ladder's, with one factorization
+    on G(1000, 0.02) at seeds 3 and 4 and on ring(1000).
     """
     if not (0.0 <= laziness < 1.0):
         raise InvalidArgumentError(f"laziness must be in [0, 1), got {laziness}")
@@ -330,6 +373,10 @@ def metropolis_weights(t: Topology, laziness: float = 0.1) -> MixingMatrix:
         raise InvalidArgumentError("topology is disconnected")
 
     candidates = [laziness] + [lz for lz in _LAZINESS_LADDER if lz > laziness]
+    if t.m > _CHOLESKY_ROWS:
+        rq = _lanczos_bound(t)      # a blend negative at rq must fail
+        candidates = [lz for lz in candidates
+                      if (1.0 - lz) * rq + lz >= -_ZERO_EIG_RTOL]
     for lz in candidates:
         # the test overwrites its copy of W_raw
         if _positive_definite(_metropolis_raw(t), 1.0 - lz, lz - _ZERO_EIG_RTOL):

@@ -161,6 +161,7 @@ class GradientTables:
         # neither a deep copy nor a pickle can detach one.
         self._flat = grads.reshape(m * slots, n)
         self._base = np.arange(m) * slots - 1
+        self._row = np.dtype((np.void, 8 * n))     # one table row as bytes
         self.sums = grads.sum(axis=1)
         self.seed = int(seed) & 0xFFFFFFFFFFFFFFFF
         self.agent_ids = [int(a) for a in agent_ids]
@@ -199,7 +200,9 @@ class GradientTables:
         delta = fresh - self._flat.take(slot, axis=0)
         g = delta + self.sums / self._q_rows
         self.sums += delta
-        self._flat[slot] = fresh
+        # one void element per row: a scatter of whole rows, the same bytes
+        row = self._row
+        self._flat.view(row)[:, 0][slot] = np.ascontiguousarray(fresh).view(row)[:, 0]
         return g
 
     def check_sums(self):

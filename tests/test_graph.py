@@ -300,26 +300,58 @@ def reference_laziness(t, laziness):
     raise AssertionError("no positive blend")
 
 
-@pytest.mark.parametrize("kind, m, p, seed", [
+PARITY_GRAPHS = [
     ("ring", 2, None, 0), ("ring", 3, None, 0), ("ring", 4, None, 0),
     ("ring", 7, None, 0), ("ring", 64, None, 0), ("ring", 513, None, 0),
-    ("ring", 600, None, 0), ("complete", 2, None, 0), ("complete", 3, None, 0),
+    ("ring", 600, None, 0), ("ring", 1000, None, 0), ("ring", 1001, None, 0),
+    ("complete", 2, None, 0), ("complete", 3, None, 0),
     ("complete", 10, None, 0), ("complete", 100, None, 0),
     ("complete", 513, None, 0), ("complete", 600, None, 0),
     ("random_gnp", 5, 0.5, 6), ("random_gnp", 12, 0.3, 1),
     ("random_gnp", 20, 0.4, 3), ("random_gnp", 50, 0.1, 1),
     ("random_gnp", 200, 0.05, 2), ("random_gnp", 300, 0.03, 0),
-    ("random_gnp", 520, 0.02, 1), ("random_gnp", 600, 0.02, 3),
-    ("random_gnp", 1000, 0.02, 3)])
+    ("random_gnp", 300, 0.05, 0), ("random_gnp", 520, 0.02, 1),
+    ("random_gnp", 600, 0.02, 3), ("random_gnp", 1000, 0.02, 3),
+    ("random_gnp", 1000, 0.02, 4)]
+
+
+@pytest.mark.parametrize("kind, m, p, seed", PARITY_GRAPHS)
 def test_cholesky_laziness_matches_eigenvalue_ladder(kind, m, p, seed):
     # Beyond 64 agents the test factors 64-row blocks, each followed by its
     # Schur complement update, with a shorter last block at m = 513, 520,
-    # 600 and 1000.  An even ring at 0.25 and a complete graph at 0 have an
+    # 600 and 1000, after the Lanczos bound has dropped the levels that
+    # must fail.  An even ring at 0.25 and a complete graph at 0 have an
     # exact zero eigenvalue in the blend, which must not pass.
     t = graph.build_topology(kind, m, p=p, seed=seed)
     for laziness in (0.0, 0.1, 0.25):
         got = graph.metropolis_weights(t, laziness=laziness).laziness
         assert got == reference_laziness(t, laziness)
+
+
+@pytest.mark.parametrize("kind, m, p, seed", PARITY_GRAPHS)
+def test_lanczos_bound_is_above_smallest_eigenvalue(kind, m, p, seed):
+    # A Rayleigh quotient: never below lambda_min(W_raw), beyond rounding,
+    # and the same bits on every call
+    t = graph.build_topology(kind, m, p=p, seed=seed)
+    rq = graph._lanczos_bound(t)
+    assert rq >= np.linalg.eigvalsh(reference_raw(t)[0])[0] - 1e-12
+    assert rq.hex() == graph._lanczos_bound(t).hex()
+
+
+@pytest.mark.parametrize("kind, m, p, seed, laziness, used", [
+    ("random_gnp", 1000, 0.02, 3, 0.1, 0.2),
+    ("random_gnp", 1000, 0.02, 4, 0.1, 0.3),
+    ("ring", 1000, None, 0, 0.1, 0.3)])
+def test_laziness_is_chosen_with_one_factorization(monkeypatch, kind, m, p,
+                                                   seed, laziness, used):
+    # the Lanczos bound drops every level below the one used, unfactored
+    calls = []
+    positive_definite = graph._positive_definite
+    monkeypatch.setattr(graph, "_positive_definite",
+                        lambda *a: calls.append(1) or positive_definite(*a))
+    t = graph.build_topology(kind, m, p=p, seed=seed)
+    assert graph.metropolis_weights(t, laziness=laziness).laziness == used
+    assert len(calls) == 1
 
 
 @pytest.mark.parametrize("kind, m, p, seed, laziness, lifted_to", [
@@ -336,20 +368,24 @@ def test_exact_zero_eigenvalue_lifts_laziness(kind, m, p, seed, laziness,
     assert w.rho_min > 1e-3
 
 
-def test_metropolis_decomposes_once(monkeypatch):
-    # ring(4) climbs the ladder from 0.0 to 0.3 without a decomposition; the
-    # spectrum is decomposed on its first read and kept.
+def test_metropolis_decomposes_once(monkeypatch, forbid_large_eigh):
+    # ring(4) climbs the ladder from 0.0 to 0.3, and G(1000, 0.02) to 0.2,
+    # without a decomposition beyond the Lanczos tridiagonal; the spectrum
+    # is decomposed on its first read and kept.
     calls = []
     eigvalsh = np.linalg.eigvalsh
     monkeypatch.setattr(np.linalg, "eigvalsh",
                         lambda a: calls.append(1) or eigvalsh(a))
-    w = graph.metropolis_weights(graph.build_topology("ring", 4), laziness=0.0)
-    assert w.laziness == 0.3
-    assert len(calls) == 0
-    first = w.eig_w
-    assert len(calls) == 1
-    assert w.eig_w is first
-    assert len(calls) == 1
+    for t, used in ((graph.build_topology("ring", 4), 0.3),
+                    (graph.build_topology("random_gnp", 1000, 0.02, 3), 0.2)):
+        calls.clear()
+        w = graph.metropolis_weights(t, laziness=0.0)
+        assert w.laziness == used
+        assert len(calls) == 0
+        first = w.eig_w
+        assert len(calls) == 1
+        assert w.eig_w is first
+        assert len(calls) == 1
 
 
 @pytest.mark.parametrize("kind, m, p, seed, csr", [

@@ -761,7 +761,9 @@ def compare_m1000(tmp_path):
     assert [r.rounds_to_target for r in rows] == [27, 27]
 
 
-def test_compare_with_explicit_alpha_decomposes_nothing(tmp_path, monkeypatch):
+def test_compare_with_explicit_alpha_decomposes_nothing(tmp_path, monkeypatch,
+                                                       forbid_large_eigh):
+    # nothing but the Lanczos tridiagonal of the laziness bound
     def eigvalsh(a):
         raise AssertionError("eigvalsh called")
 
