@@ -13,7 +13,7 @@ from __future__ import annotations
 import io
 import math
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -134,38 +134,31 @@ def assert_tracking_identity(s: NetworkState, tol: float):
 # Rate certification
 # ---------------------------------------------------------------------------
 
-@dataclass
+@dataclass(kw_only=True)
 class RateCertificate:
-    """Parameter bundle certifying a linear rate, or the reason it fails."""
+    """Parameter bundle certifying a linear rate, or the reason it fails;
+    ``to_text`` prints the fields in the order they are declared."""
 
+    valid: bool
+    reason: str = "ok"
     alpha: float
+    alpha_max: float
     phi: float
     gamma: float
     eta: float
     c: float
     d: float
     e: float
-    alpha_max: float
     theta: float
     delta: float
-    valid: bool
-    reason: str = "ok"
     mu: float = 0.0
     lip: float = 0.0
     q_min: int = 1
     q_max: int = 1
 
     def to_text(self) -> str:
-        pairs = [
-            ("valid", self.valid), ("reason", self.reason),
-            ("alpha", self.alpha), ("alpha_max", self.alpha_max),
-            ("phi", self.phi), ("gamma", self.gamma), ("eta", self.eta),
-            ("c", self.c), ("d", self.d), ("e", self.e),
-            ("theta", self.theta), ("delta", self.delta),
-            ("mu", self.mu), ("lip", self.lip),
-            ("q_min", self.q_min), ("q_max", self.q_max),
-        ]
-        return "\n".join(f"{k} = {v}" for k, v in pairs) + "\n"
+        return "".join(f"{f.name} = {getattr(self, f.name)}\n"
+                       for f in fields(self))
 
 
 def step_size_interval(w: MixingMatrix, mu: float, lip: float,
@@ -204,11 +197,12 @@ def rate_certificate(w: MixingMatrix, mu: float, lip: float,
     if alpha is None:
         alpha = 0.5 * alpha_max
 
+    common = dict(alpha=alpha, alpha_max=alpha_max, phi=phi, gamma=gamma,
+                  eta=eta, d=d, e=e, mu=mu, lip=lip, q_min=q_min, q_max=q_max)
+
     def invalid(reason):
-        return RateCertificate(alpha=alpha, phi=phi, gamma=gamma, eta=eta,
-                               c=float("nan"), d=d, e=e, alpha_max=alpha_max,
-                               theta=0.0, delta=0.0, valid=False, reason=reason,
-                               mu=mu, lip=lip, q_min=q_min, q_max=q_max)
+        return RateCertificate(valid=False, reason=reason, c=float("nan"),
+                               theta=0.0, delta=0.0, **common)
 
     if not (0.0 < alpha < alpha_max):
         return invalid("step-size outside the certified interval")
@@ -240,10 +234,8 @@ def rate_certificate(w: MixingMatrix, mu: float, lip: float,
     if theta <= 0.0:
         return invalid("rate constant is not positive")
 
-    return RateCertificate(alpha=alpha, phi=phi, gamma=gamma, eta=eta, c=c,
-                           d=d, e=e, alpha_max=alpha_max, theta=theta,
-                           delta=0.5 * theta, valid=True,
-                           mu=mu, lip=lip, q_min=q_min, q_max=q_max)
+    return RateCertificate(valid=True, c=c, theta=theta, delta=0.5 * theta,
+                           **common)
 
 
 def certificate_for_problem(w: MixingMatrix, problem: ProblemInstance,

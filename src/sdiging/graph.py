@@ -1,12 +1,12 @@
 """Undirected topologies, doubly stochastic mixing matrices, spectral data.
 
 Agents are numbered 1..m in ``Topology.edges`` and edge-list files; edge
-arrays and matrices are 0-indexed numpy arrays.  A mixing matrix stores
-one form, the operator the round multiplies by (dense or CSR); its
-laziness is chosen by one Cholesky positivity test, after a 20-step Lanczos
-bound has dropped the levels that must fail, without an m x m decomposition.
-Its spectrum is computed only when something reads it, once, and every
-spectral quantity is read from it; the dense ``w`` is derived on demand.
+arrays and matrices are 0-indexed numpy arrays.  A topology's connectivity
+is checked once, by a union-find over its edges.  A mixing matrix stores
+one form, the operator the round multiplies by: the dense W, or its CSR
+form assembled from the edges.  Its laziness is chosen by a Cholesky
+positivity test, not by a decomposition; its spectrum is computed once,
+when first read, and the dense ``w`` is derived on demand.
 """
 
 from __future__ import annotations
@@ -174,22 +174,14 @@ class MixingMatrix:
 
 def _csr(w: np.ndarray, t: Topology):
     """``csr_array(w)`` for a blend ``w`` of ``t``'s Metropolis weights,
-    read at the 2k + m places where it is nonzero: every edge, both ways,
-    and the diagonal, instead of scanning all m^2 entries."""
-    from scipy.sparse import csr_array
-    i, j = t.edge_array.T
-    diag = np.arange(t.m)
-    # the (j, i) entries come row-unsorted but with each row's columns
-    # ascending, the (i, j) entries sorted: a stable sort by row orders
-    # every row's columns below, on and above the diagonal
-    rows = np.concatenate([j, diag, i])
-    cols = np.concatenate([i, diag, j])
-    order = np.argsort(rows, kind="stable")
-    rows, cols = rows[order], cols[order]
-    indptr = np.zeros(t.m + 1, dtype=np.int32)
-    np.cumsum(np.bincount(rows, minlength=t.m), out=indptr[1:])
-    return csr_array((w[rows, cols], cols.astype(np.int32), indptr),
-                     shape=w.shape)
+    gathered only where it is nonzero: at every edge, both ways, and on the
+    diagonal, 2k + m distinct places, instead of all m^2 entries; scipy's
+    COO to CSR conversion orders each row's columns."""
+    from scipy.sparse import coo_array
+    i, j = t.edge_array.T.astype(np.int32)
+    diag = np.arange(t.m, dtype=np.int32)
+    rows, cols = np.concatenate([i, j, diag]), np.concatenate([j, i, diag])
+    return coo_array((w[rows, cols], (rows, cols)), shape=w.shape).tocsr()
 
 
 def _sorted_pairs(pairs) -> np.ndarray:
@@ -198,33 +190,24 @@ def _sorted_pairs(pairs) -> np.ndarray:
     return np.unique(pairs, axis=0)
 
 
-class _UnionFind:
-    def __init__(self, n):
-        self.parent = list(range(n))
-
-    def find(self, a):
-        while self.parent[a] != a:
-            self.parent[a] = self.parent[self.parent[a]]
-            a = self.parent[a]
-        return a
-
-    def union(self, a, b) -> bool:
-        """Join the sets of a and b; whether they were apart."""
-        ra, rb = self.find(a), self.find(b)
-        if ra != rb:
-            self.parent[ra] = rb
-        return ra != rb
-
-
 def _is_connected(m, edges) -> bool:
-    """Whether the 1-based pairs ``edges`` join agents 1..m into one set;
-    stops at the edge that makes the (m - 1)-th join."""
-    uf = _UnionFind(m)
+    """Whether the 1-based pairs ``edges`` join agents 1..m into one set:
+    a union-find with path halving, which stops at the edge that makes the
+    (m - 1)-th join."""
+    parent = list(range(m + 1))         # indexed by agent; 0 is unused
     apart = m - 1
-    for i, j in edges:
-        apart -= uf.union(i - 1, j - 1)
-        if apart == 0:
-            break
+    for a, b in edges:
+        while parent[a] != a:
+            parent[a] = parent[parent[a]]
+            a = parent[a]
+        while parent[b] != b:
+            parent[b] = parent[parent[b]]
+            b = parent[b]
+        if a != b:
+            parent[a] = b
+            apart -= 1
+            if apart == 0:
+                break
     return apart == 0
 
 
@@ -362,10 +345,10 @@ def metropolis_weights(t: Topology, laziness: float = 0.1) -> MixingMatrix:
     fails, laziness is raised through 0.1, 0.2, ..., 0.5; the level used is
     recorded on the result.  The test is a Cholesky factorization, so no
     spectrum is computed here: ``MixingMatrix.eig_w`` computes it when read.
-    Beyond _CHOLESKY_ROWS agents, the levels that must fail are dropped
-    first, by a Lanczos bound rq >= lambda_min(W_raw); since only the test
-    accepts a level, the level used is the ladder's, with one factorization
-    on G(1000, 0.02) at seeds 3 and 4 and on ring(1000).
+    Beyond _CHOLESKY_ROWS agents, a Lanczos bound rq >= lambda_min(W_raw)
+    first drops the levels that must fail, so that usually only the level
+    used is factored; since only the test accepts a level, the level used
+    is the ladder's.
     """
     if not (0.0 <= laziness < 1.0):
         raise InvalidArgumentError(f"laziness must be in [0, 1), got {laziness}")

@@ -122,6 +122,9 @@ def kmeans_instance(points: np.ndarray | None = None, m: int = 5, q_i: int = 30,
             raise InvalidArgumentError(
                 f"{points.shape[0]} points do not divide across {m} agents "
                 f"with q_i={q_i}")
+    if k > len(points):
+        raise InvalidArgumentError(
+            f"{k} clusters need at least {k} points, got {len(points)}")
     points = points[rng.permutation(points.shape[0])]
     return ProblemInstance(KMeansPoint, [points, np.full(len(points), k)],
                            np.full(m, q_i))
@@ -362,7 +365,19 @@ def parse_config(path) -> ExperimentConfig:
             raise ConfigError(f"problem needs a finite {key}")
     if cfg.family == "quadratic" and not 0 < cfg.mu_target <= cfg.lip_target:
         raise ConfigError("problem needs 0 < mu <= lip")
+    if cfg.family == "logistic_csv" and cfg.logistic_csv is None:
+        raise ConfigError("family 'logistic_csv' needs the key logistic_csv")
     return cfg
+
+
+def _read_csv(cfg: ExperimentConfig, key: str, load):
+    """``load`` of the file the config's ``key`` names; a file that cannot
+    be opened or parsed is a config error naming the key and the path."""
+    path = getattr(cfg, key)
+    try:
+        return load(path)
+    except (OSError, ValueError) as exc:
+        raise ConfigError(f"cannot read {key} {path!r}: {exc}") from exc
 
 
 def build_problem(cfg: ExperimentConfig) -> ProblemInstance:
@@ -374,7 +389,8 @@ def build_problem(cfg: ExperimentConfig) -> ProblemInstance:
         return gaussian_logistic_instance(
             cfg.m, cfg.q, n=cfg.n, seed=cfg.problem_seed, lam=cfg.lam)
     if cfg.family == "logistic_csv":
-        labels, feats = objectives.load_logistic_csv(cfg.logistic_csv)
+        labels, feats = _read_csv(cfg, "logistic_csv",
+                                  objectives.load_logistic_csv)
         total = labels.shape[0]
         if total % cfg.m != 0:
             raise ConfigError(f"{total} samples do not divide across {cfg.m} agents")
@@ -385,7 +401,7 @@ def build_problem(cfg: ExperimentConfig) -> ProblemInstance:
             sigma=cfg.sigma, theta=cfg.theta, seed=cfg.problem_seed)
         return problem
     if cfg.family == "kmeans":
-        pts = objectives.load_points_csv(cfg.points_csv) \
+        pts = _read_csv(cfg, "points_csv", objectives.load_points_csv) \
             if cfg.points_csv else None
         return kmeans_instance(points=pts, m=cfg.m, q_i=cfg.q, k=cfg.clusters,
                                seed=cfg.problem_seed)

@@ -347,7 +347,7 @@ def logistic_problem(features, labels, lam: float, m: int) -> ProblemInstance:
     """One ``LogisticSample`` per labelled row, the rows split into m
     equal, consecutive slices, one per agent."""
     features = np.asarray(features, dtype=float)
-    labels = np.asarray(labels, dtype=int)
+    labels = np.asarray(labels)
     if not 0 < lam < np.inf:
         raise InvalidArgumentError(
             f"regularizer must be finite and positive, got {lam}")
@@ -368,10 +368,9 @@ def logistic_problem(features, labels, lam: float, m: int) -> ProblemInstance:
 def load_logistic_csv(path) -> tuple[np.ndarray, np.ndarray]:
     """Read ``label,feat1,...,featn`` rows; returns (labels, features)."""
     raw = np.loadtxt(path, delimiter=",", ndmin=2)
-    labels = raw[:, 0].astype(int)
-    if not set(np.unique(labels)) <= {-1, 1}:
+    if not np.isin(raw[:, 0], (-1, 1)).all():
         raise InvalidArgumentError("labels must be -1 or +1")
-    return labels, raw[:, 1:]
+    return raw[:, 0].astype(int), raw[:, 1:]
 
 
 def load_points_csv(path) -> np.ndarray:

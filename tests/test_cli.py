@@ -222,6 +222,59 @@ def test_size_below_one_fails_before_set_up(
     assert f"config_error: problem needs {key} >= 1\n" in capsys.readouterr().err
 
 
+def test_logistic_csv_family_without_its_key_fails_before_set_up(
+        tmp_path, capsys, monkeypatch):
+    def build(*args, **kwargs):
+        raise AssertionError("topology built")
+
+    monkeypatch.setattr(graph, "build_topology", build)
+    text = QUAD_CONFIG.replace("family = quadratic\nq = 3\nn = 2\n",
+                               "family = logistic_csv\n")
+    rc = cli.main(["run", write(tmp_path, text, alpha="0.01", rounds=10)])
+    assert rc == cli.EXIT_CONFIG
+    assert "config_error: family 'logistic_csv' needs the key logistic_csv" \
+        in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("key, content", [
+    ("logistic_csv", None), ("logistic_csv", "1,0.5\n-1,a\n"),
+    ("points_csv", None), ("points_csv", "0.0,1.0\na,2.0\n")],
+    ids=["logistic-missing", "logistic-unparsable", "points-missing",
+         "points-unparsable"])
+def test_unreadable_csv_is_a_config_error(tmp_path, capsys, key, content):
+    csv = tmp_path / "data.csv"
+    if content is not None:
+        csv.write_text(content)
+    family = "logistic_csv" if key == "logistic_csv" else "kmeans\nq = 1"
+    text = QUAD_CONFIG.replace("family = quadratic\nq = 3\nn = 2\n",
+                               f"family = {family}\n{key} = {csv}\n")
+    rc = cli.main(["run", write(tmp_path, text, alpha="0.01", rounds=10)])
+    assert rc == cli.EXIT_CONFIG
+    assert f"config_error: cannot read {key} {str(csv)!r}: " \
+        in capsys.readouterr().err
+
+
+def test_fractional_logistic_labels_are_a_config_error(tmp_path, capsys):
+    csv = tmp_path / "data.csv"
+    csv.write_text("1.7,0.5,-1.5\n-1.2,2.0,3.0\n1,1.0,0.5\n-1,-0.5,0.25\n")
+    text = QUAD_CONFIG.replace("family = quadratic\nq = 3\nn = 2\n",
+                               f"family = logistic_csv\nlogistic_csv = {csv}\n")
+    rc = cli.main(["run", write(tmp_path, text, alpha="0.01", rounds=10)])
+    assert rc == cli.EXIT_CONFIG
+    assert "labels must be -1 or +1" in capsys.readouterr().err
+    assert not any(tmp_path.glob("t.*"))
+
+
+def test_more_clusters_than_points_is_a_config_error(tmp_path, capsys):
+    # m * q = 20 points
+    text = QUAD_CONFIG.replace("family = quadratic\nq = 3\nn = 2\n",
+                               "family = kmeans\nq = 5\nclusters = 40\n")
+    rc = cli.main(["run", write(tmp_path, text, alpha="0.01", rounds=10)])
+    assert rc == cli.EXIT_CONFIG
+    assert "invalid_argument: 40 clusters need at least 40 points, got 20" \
+        in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("command", [
     ["run"], ["certify"], ["compare", "--algos", "diging,sdiging,primal_dual",
                            "--target", "-3"]])

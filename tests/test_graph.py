@@ -44,6 +44,36 @@ def test_gnp_is_connected_and_deterministic():
     assert graph._is_connected(t1.m, t1.edges)
 
 
+def bfs_connected(m, edges):
+    """Whether the 1-based pairs ``edges`` join agents 1..m: a breadth-first
+    walk from agent 1, independent of the union-find under test."""
+    adjacent = {a: set() for a in range(1, m + 1)}
+    for i, j in edges:
+        adjacent[i].add(j)
+        adjacent[j].add(i)
+    seen, frontier = {1}, [1]
+    while frontier:
+        frontier = [b for a in frontier for b in adjacent[a] - seen]
+        seen.update(frontier)
+    return len(seen) == m
+
+
+@pytest.mark.parametrize("m, edges, connected", [
+    (4, [(1, 2), (2, 3)], False),                   # agent 4 isolated
+    (4, [(1, 2), (3, 4)], False),                   # two components
+    (2, [], False),
+    (3, [(1, 2), (2, 1), (1, 2)], False),           # duplicates of one pair
+    (3, [(1, 2), (1, 2), (2, 3), (3, 2)], True),
+    (5, [(1, 2), (4, 5), (2, 3), (3, 1), (3, 4)], True),  # spanning edge last
+    (5, [(1, 2), (4, 5), (2, 3), (3, 1)], False),
+    (2, [(1, 2)], True),
+    (6, [(6, 5), (5, 4), (4, 3), (3, 2), (2, 1)], True),
+])
+def test_is_connected_matches_breadth_first_walk(m, edges, connected):
+    assert graph._is_connected(m, iter(edges)) == bfs_connected(m, edges) \
+        == connected
+
+
 def test_gnp_mean_edge_count_matches_rejection_oracle():
     # Oracle: rejection-sample connected G(10, 0.4) graphs with an
     # independent sampler and compare mean edge counts at 3 s.e.
@@ -52,15 +82,12 @@ def test_gnp_mean_edge_count_matches_rejection_oracle():
              for s in range(n_samples)]
 
     rng = np.random.default_rng(987654321)
-    pairs = [(i, j) for i in range(m) for j in range(i + 1, m)]
+    pairs = [(i, j) for i in range(1, m + 1) for j in range(i + 1, m + 1)]
     oracle = []
     while len(oracle) < n_samples:
         mask = rng.random(len(pairs)) < p
         edges = {pairs[k] for k in range(len(pairs)) if mask[k]}
-        uf = graph._UnionFind(m)
-        for i, j in edges:
-            uf.union(i, j)
-        if all(uf.find(k) == uf.find(0) for k in range(m)):
+        if bfs_connected(m, edges):
             oracle.append(len(edges))
     se = np.std(oracle, ddof=1) / np.sqrt(n_samples)
     assert abs(np.mean(built) - np.mean(oracle)) < 3.0 * np.sqrt(2.0) * se

@@ -287,6 +287,16 @@ def test_kmeans_rejects_no_clusters(k):
         harness.kmeans_instance(m=2, q_i=3, k=k, seed=0)
 
 
+def test_kmeans_rejects_more_clusters_than_points():
+    # the reference seeds its centers with k distinct points
+    with pytest.raises(InvalidArgumentError, match="40 clusters"):
+        harness.kmeans_instance(m=4, q_i=5, k=40, seed=0)
+    with pytest.raises(InvalidArgumentError, match="3 clusters"):
+        harness.kmeans_instance(points=np.zeros((2, 2)), m=2, q_i=1, k=3)
+    prob = harness.kmeans_instance(m=4, q_i=5, k=20, seed=0)
+    assert harness.reference_solution(prob).x.shape == (40,)
+
+
 @pytest.mark.parametrize("kind, params, q", [
     (Quadratic, [np.zeros((3, 2, 2)), np.zeros((3, 2))], [2, 0, 1]),
     (Quadratic, [np.zeros((3, 2, 2)), np.zeros((3, 2))], []),

@@ -547,6 +547,15 @@ def test_logistic_csv_rejects_bad_labels(tmp_path):
         objectives.load_logistic_csv(path)
 
 
+def test_fractional_labels_are_rejected_not_truncated(tmp_path):
+    path = tmp_path / "d.csv"
+    path.write_text("1.7,0.5\n-1.2,2.0\n")
+    with pytest.raises(InvalidArgumentError, match="labels"):
+        objectives.load_logistic_csv(path)
+    with pytest.raises(InvalidArgumentError, match="labels"):
+        objectives.logistic_problem([[0.5], [2.0]], [1.7, -1.2], lam=1.0, m=1)
+
+
 def test_points_csv_loader(tmp_path):
     path = tmp_path / "p.csv"
     path.write_text("0.0,1.0\n2.5,-3.5\n")
