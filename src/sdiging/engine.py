@@ -285,15 +285,10 @@ class RunTrace:
 DIAGNOSTIC_FLOATS = 4096
 
 
-def _row_norms(d: np.ndarray) -> np.ndarray:
-    """Euclidean norms along the last axis, summed as np.linalg.norm sums
-    them for real input."""
-    return np.sqrt(np.add.reduce(d * d, axis=-1))
-
-
 def residuals_log10(xs: np.ndarray, x_star: np.ndarray) -> list:
     """``residual_log10`` of every iterate of an R x m x n stack."""
-    mean_dist = np.add.reduce(_row_norms(xs - x_star), axis=-1) / xs.shape[1]
+    dist = np.linalg.norm(xs - x_star, axis=-1)
+    mean_dist = np.add.reduce(dist, axis=-1) / xs.shape[1]
     return [RESIDUAL_FLOOR if v == 0.0 else max(math.log10(v), RESIDUAL_FLOOR)
             for v in mean_dist.tolist()]
 
@@ -301,7 +296,7 @@ def residuals_log10(xs: np.ndarray, x_star: np.ndarray) -> list:
 def consensus_gaps(xs: np.ndarray) -> list:
     """``consensus_gap`` of every iterate of an R x m x n stack."""
     center = np.add.reduce(xs, axis=1) / xs.shape[1]
-    return np.max(_row_norms(xs - center[:, None]), axis=-1).tolist()
+    return np.linalg.norm(xs - center[:, None], axis=-1).max(axis=-1).tolist()
 
 
 def residual_log10(x: np.ndarray, x_star: np.ndarray) -> float:

@@ -87,6 +87,8 @@ class Topology:
         except ValueError:
             raise InvalidArgumentError(
                 f"bad agent count line: {lines[0]!r}") from None
+        if m < 2:
+            raise InvalidArgumentError(f"need at least 2 agents, got m={m}")
         pairs = []
         for ln in lines[1:]:
             try:        # two integer tokens

@@ -63,7 +63,8 @@ def localization_instance(m: int = 50, q_i: int = 100, field_size: float = 100.0
     """Sensors on a square field measuring an attenuated source signal.
 
     Returns ``(problem, true_source)``.  Sensors closer than 1 to the
-    source are resampled (the attenuation model is invalid there).
+    source are resampled (the attenuation model is invalid there); at
+    field_size >= 2 at least 1 - pi/4 of the field is farther than that.
     Nonpositive measurements are raised to a small positive floor before
     the radius is formed; the instance counts them in
     ``clamped_measurements``.  With
@@ -73,6 +74,8 @@ def localization_instance(m: int = 50, q_i: int = 100, field_size: float = 100.0
     """
     if a <= 0:
         raise InvalidArgumentError(f"source strength must be positive, got {a}")
+    if not field_size >= 2:
+        raise InvalidArgumentError(f"field size must be >= 2, got {field_size}")
     if sigma is None:
         sigma = DEFAULT_SIGMA_FRACTION * a
     if not sigma >= 0:
@@ -363,6 +366,8 @@ def parse_config(path) -> ExperimentConfig:
         if section == "problem" and f.metadata["convert"] is float \
                 and not math.isfinite(values.get(f.name, 0.0)):
             raise ConfigError(f"problem needs a finite {key}")
+    if not cfg.field_size >= 2:
+        raise ConfigError("problem needs field_size >= 2")
     if cfg.family == "quadratic" and not 0 < cfg.mu_target <= cfg.lip_target:
         raise ConfigError("problem needs 0 < mu <= lip")
     if cfg.family == "logistic_csv" and cfg.logistic_csv is None:

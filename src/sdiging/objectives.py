@@ -368,6 +368,8 @@ def logistic_problem(features, labels, lam: float, m: int) -> ProblemInstance:
 def load_logistic_csv(path) -> tuple[np.ndarray, np.ndarray]:
     """Read ``label,feat1,...,featn`` rows; returns (labels, features)."""
     raw = np.loadtxt(path, delimiter=",", ndmin=2)
+    if raw.shape[1] < 2 or not np.isfinite(raw).all():
+        raise InvalidArgumentError("need finite values and a feature column")
     if not np.isin(raw[:, 0], (-1, 1)).all():
         raise InvalidArgumentError("labels must be -1 or +1")
     return raw[:, 0].astype(int), raw[:, 1:]
@@ -378,4 +380,6 @@ def load_points_csv(path) -> np.ndarray:
     pts = np.loadtxt(path, delimiter=",", ndmin=2)
     if pts.shape[1] != 2:
         raise InvalidArgumentError(f"expected 2 columns, got {pts.shape[1]}")
+    if not np.isfinite(pts).all():
+        raise InvalidArgumentError("point coordinates must be finite")
     return pts

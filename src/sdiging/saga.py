@@ -13,14 +13,15 @@ agent's row of it, which is what a checkpoint holds.
 Agent i's component indices are, bit for bit, the draws of
 ``Generator(Philox(key=(seed, agent_i))).integers(1, q_i + 1)``, so a run
 replays identically and a checkpoint restores by counting draws.
-``IndexStreams`` produces them for all agents at once without a
-``Generator``: Philox is counter-based, so each agent's bare bit generator
-is read as raw 64-bit words, each word is split into two 32-bit words, low
+``IndexStreams`` produces them for all agents at once from bare bit
+generators: Philox is counter-based, so each agent's bit generator is read
+as raw 64-bit words, each word is split into two 32-bit words, low
 half first, and every word is bounded by Lemire's rule, which is what
 numpy's bounded draw does.  A word w gives the index
 (w*q >> 32) + 1 unless (w*q) mod 2**32 is below (2**32 - q) mod q, in which
-case it is dropped and the next word is tried; an agent with q = 1 reads no
-words.
+case numpy drops it and tries the next word.  An agent whose block drops a
+word is rewound to the block's start and handed to a ``Generator`` for
+good; an agent with q = 1 reads no words.
 """
 
 from __future__ import annotations
@@ -60,9 +61,9 @@ class IndexStreams:
 
     Every ``draw`` advances all streams together, so one counter ``drawn``
     (draws used, not prefetched) also says which row of the current block
-    is next.  A stream is redone word by word only when its block dropped a
-    word or must start with the high half word the previous block left
-    unread (``_carry``), as numpy's bit generator keeps it.
+    is next.  A stream whose block dropped a word moves to ``_numpy``: its
+    bit generator is rewound to the block's start and every block of it
+    from then on is drawn by numpy, which keeps any half word itself.
     """
 
     def __init__(self, q, seed: int, agent_ids):
@@ -75,7 +76,7 @@ class IndexStreams:
         self._philox = {i: np.random.Philox(_Key(np.array(
             [seed, agent_ids[i]], dtype=np.uint64)))
             for i in np.flatnonzero(q > 1).tolist()}
-        self._carry: dict[int, int] = {}
+        self._numpy: dict[int, np.random.Generator] = {}
         self._block = None
 
     def draw(self) -> np.ndarray:
@@ -95,7 +96,8 @@ class IndexStreams:
     def _next_block(self) -> np.ndarray:
         """The next BLOCK draws of every stream: row k holds draw k of each.
 
-        Streams with q = 1 read no words; zero words give them index 1.
+        Streams with q = 1 or in ``_numpy`` read no words here; zero words
+        give them index 1, and numpy then fills the ``_numpy`` columns.
         """
         raw = np.zeros((len(self._q), BLOCK // 2), dtype="<u8")
         for i, p in self._philox.items():
@@ -110,31 +112,15 @@ class IndexStreams:
         block >>= 32
         block = block.view(np.int64)
         block += 1
-        for r in self._carry.keys() | set(dropped.tolist()):
-            block[:, r] = self._top_up(r, raw[r])
+        for r in self._philox.keys() & set(dropped.tolist()):
+            # BLOCK // 2 raw words from an empty buffer are BLOCK // 8 Philox
+            # counters; advance also empties the buffer and the half word
+            p = self._philox.pop(r).advance(-(BLOCK // 8))
+            self._numpy[r] = np.random.Generator(p)
+        for r, g in self._numpy.items():
+            block[:, r] = g.integers(1, int(self._q[r]) + 1, size=BLOCK)
         block.flags.writeable = False
         return block
-
-    def _top_up(self, r: int, raw: np.ndarray) -> list:
-        """Stream r's block read one 32-bit word at a time: any carried half
-        word, then the words of ``raw``, then more raw words while drops
-        demand them."""
-        q, cut = int(self._q[r]), int(self._cut[r])
-        words = [self._carry.pop(r)] if r in self._carry else []
-        for w in raw.tolist():
-            words += [w & 0xFFFFFFFF, w >> 32]
-        drawn, used = [], 0
-        while len(drawn) < BLOCK:
-            if used == len(words):
-                w = int(self._philox[r].random_raw())
-                words += [w & 0xFFFFFFFF, w >> 32]
-            scaled = words[used] * q
-            used += 1
-            if scaled & 0xFFFFFFFF >= cut:
-                drawn.append((scaled >> 32) + 1)
-        if used < len(words):       # at most one: a high half word
-            self._carry[r] = words[used]
-        return drawn
 
 
 class GradientTables:

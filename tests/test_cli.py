@@ -238,10 +238,23 @@ def test_logistic_csv_family_without_its_key_fails_before_set_up(
 
 @pytest.mark.parametrize("key, content", [
     ("logistic_csv", None), ("logistic_csv", "1,0.5\n-1,a\n"),
-    ("points_csv", None), ("points_csv", "0.0,1.0\na,2.0\n")],
+    ("points_csv", None), ("points_csv", "0.0,1.0\na,2.0\n"),
+    ("logistic_csv", "1,0.5\n-1,nan\n1,1.0\n-1,-0.5\n"),
+    ("logistic_csv", "1,0.5\n-1,2.0\n1,inf\n-1,-0.5\n"),
+    ("logistic_csv", "1\n-1\n1\n-1\n"),
+    ("points_csv", "0.0,1.0\n2.0,nan\n1.0,1.0\n3.0,0.5\n"),
+    ("points_csv", "0.0,1.0\n-inf,2.0\n1.0,1.0\n3.0,0.5\n")],
     ids=["logistic-missing", "logistic-unparsable", "points-missing",
-         "points-unparsable"])
-def test_unreadable_csv_is_a_config_error(tmp_path, capsys, key, content):
+         "points-unparsable", "logistic-nan", "logistic-inf",
+         "logistic-labels-only", "points-nan", "points-inf"])
+def test_unreadable_csv_is_a_config_error(tmp_path, capsys, monkeypatch, key,
+                                          content):
+    # the reference solve raising bounds the wall time: a logistic file with
+    # a nan used to run through the solver's whole oracle budget
+    def solve(*args, **kwargs):
+        raise AssertionError("reference solved")
+
+    monkeypatch.setattr(harness, "reference_solution", solve)
     csv = tmp_path / "data.csv"
     if content is not None:
         csv.write_text(content)

@@ -500,6 +500,14 @@ def test_edge_list_rejects_bad_lines():
         graph.Topology.from_edge_list_text("3\n1 2\n")
 
 
+@pytest.mark.parametrize("m", [1, 0, -3])
+def test_edge_list_needs_two_agents(m):
+    # the same check and message as build_topology's
+    with pytest.raises(InvalidArgumentError,
+                       match=f"need at least 2 agents, got m={m}$"):
+        graph.Topology.from_edge_list_text(f"{m}\n")
+
+
 @pytest.mark.parametrize("text", [
     "3\n1 2 3\n", "3\n1\n", "3\n1 x\n", "3\n1 2.0\n",
     "three\n1 2\n", "3.0\n1 2\n"], ids=[

@@ -520,6 +520,25 @@ def test_parse_config_takes_percent_literally(tmp_path):
     assert cfg.prefix == "run%1 %(n)s"
 
 
+@pytest.mark.parametrize("field_size", ["0.5", "1.99", "0", "-4"])
+def test_field_size_below_two_is_rejected(tmp_path, field_size):
+    # below 2 the sensor placement may find no point farther than 1 from
+    # the source, and used to loop forever; the config is checked first, so
+    # the loop is never reached where the check is missing
+    text = GOOD_CONFIG.replace(
+        "family = quadratic\nq = 3\nn = 2",
+        f"family = localization\nq = 3\nfield_size = {field_size}")
+    with pytest.raises(ConfigError, match="field_size >= 2"):
+        harness.parse_config(write_config(tmp_path, text=text))
+    with pytest.raises(InvalidArgumentError, match="field size"):
+        harness.localization_instance(m=4, q_i=3, field_size=float(field_size))
+    text = text.replace(f"field_size = {field_size}", "field_size = 2")
+    cfg = harness.parse_config(write_config(tmp_path, text=text))
+    prob, source = harness.localization_instance(m=20, q_i=2, field_size=2.0)
+    assert cfg.field_size == 2.0 and prob.m == 20
+    assert np.all(np.linalg.norm(prob.stacked.params[0] - source, axis=1) > 1)
+
+
 @pytest.mark.parametrize("sigma", ["-3", "-0.5", "nan"])
 def test_parse_config_rejects_sigma_below_zero(tmp_path, sigma):
     text = GOOD_CONFIG.replace("family = quadratic\nq = 3\nn = 2",

@@ -312,6 +312,34 @@ def test_replay_resumes_after_a_carried_half_word(q):
     assert carried > 0
 
 
+def test_handed_over_row_beside_one_pass_rows():
+    # a row whose block drops a word is drawn by numpy's Generator from then
+    # on, while rows of q = 1 and q = 30 stay on the one-pass path
+    qs, agents = [3 * 2 ** 30, 1, 30], [6, 2, 9]
+    n = 6 * saga.BLOCK
+    q, cut = np.uint64(qs[0]), np.uint64((2 ** 32 - qs[0]) % qs[0])
+    for seed in (0, 77, 2 ** 63 + 5):
+        expect = [generator_draws(seed, a, qi, n)[0]
+                  for a, qi in zip(agents, qs)]
+        streams = saga.IndexStreams(qs, seed, agents)
+        got = np.stack([streams.draw() for _ in range(n)])
+        assert list(streams._numpy) == [0]
+        for col in range(3):
+            assert got[:, col].tolist() == expect[col]
+        # draw j is word j up to the first dropped word
+        raw = np.random.Philox(key=np.array([seed, agents[0]], dtype=np.uint64)
+                               ).random_raw(saga.BLOCK)
+        words = np.stack([raw & 0xFFFFFFFF, raw >> 32], axis=1).ravel()
+        after = int(np.flatnonzero(words * q % np.uint64(2 ** 32) < cut)[0]) \
+            // saga.BLOCK + 1
+        for draws in (after * saga.BLOCK + 1, after * saga.BLOCK + 37):
+            streams = saga.IndexStreams(qs, seed, agents)
+            streams.replay(draws)
+            rest = np.stack([streams.draw() for _ in range(n - draws)])
+            for col in range(3):
+                assert rest[:, col].tolist() == expect[col][draws:]
+
+
 def test_uneven_q_with_single_component_rows():
     params = quad_local(39, 2, seed=20).stacked.params
     prob = ProblemInstance(Quadratic, params, [1, 7, 30, 1])
