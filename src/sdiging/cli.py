@@ -11,7 +11,7 @@ Global flags: ``--seed-override N``, ``--output-dir PATH``, ``--quiet``.
 Exit codes (closed set):
     0  success (for ``certify``: certificate valid)
     1  unexpected error
-    2  config error
+    2  config error, or a configured graph that cannot be constructed
     3  reference solver failure
     4  divergence guard triggered
     5  certificate invalid or certification refused
@@ -28,6 +28,7 @@ from sdiging import engine, harness
 from sdiging.errors import (
     CertificationRefused,
     ConfigError,
+    ConstructionFailure,
     DivergenceError,
     InvalidArgumentError,
     ReferenceFailure,
@@ -136,6 +137,9 @@ def main(argv=None) -> int:
         return EXIT_CERTIFICATE
     except InvalidArgumentError as exc:
         print(f"invalid_argument: {exc}", file=sys.stderr)
+        return EXIT_CONFIG
+    except ConstructionFailure as exc:   # the configured graph, not the program
+        print(f"construction_failure: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except Exception as exc:  # noqa: BLE001 - closed exit-code set
         print(f"unexpected_error: {exc}", file=sys.stderr)

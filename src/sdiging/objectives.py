@@ -162,9 +162,9 @@ class DiskDistance(_Component):
         d = x - r
         dist = np.sqrt(_row_dots(d))
         out = dist > radius      # a point inside its disk is its own projection
-        proj = x.copy()
-        proj[out] = r[out] + (radius[out] / dist[out])[:, None] * d[out]
-        return x - proj
+        scale = radius / np.where(out, dist, radius)
+        # x - x, not 0.0: a NaN row stays NaN
+        return np.where(out[:, None], x - (r + scale[:, None] * d), x - x)
 
     @staticmethod
     def stacked_gradient(params, x):

@@ -13,15 +13,15 @@ agent's row of it, which is what a checkpoint holds.
 Agent i's component indices are, bit for bit, the draws of
 ``Generator(Philox(key=(seed, agent_i))).integers(1, q_i + 1)``, so a run
 replays identically and a checkpoint restores by counting draws.
-``IndexStreams`` produces them for all agents at once from bare bit
-generators: Philox is counter-based, so each agent's bit generator is read
-as raw 64-bit words, each word is split into two 32-bit words, low
-half first, and every word is bounded by Lemire's rule, which is what
-numpy's bounded draw does.  A word w gives the index
-(w*q >> 32) + 1 unless (w*q) mod 2**32 is below (2**32 - q) mod q, in which
-case numpy drops it and tries the next word.  An agent whose block drops a
-word is rewound to the block's start and handed to a ``Generator`` for
-good; an agent with q = 1 reads no words.
+``IndexStreams`` produces them for all agents at once: Philox is
+counter-based, so an agent's block b is the 32 raw 64-bit words that one
+bare Philox, re-keyed to (seed, agent_i) at counter b*BLOCK/8, reads.  Each
+word is split into two 32-bit words, low half first, and bounded by
+Lemire's rule, numpy's bounded draw: w gives the index (w*q >> 32) + 1
+unless (w*q) mod 2**32 is below (2**32 - q) mod q, in which case numpy
+drops it and tries the next word.  An agent whose block drops a word is
+handed to a ``Generator`` started at that block, for good; an agent with
+q = 1 reads no words.
 """
 
 from __future__ import annotations
@@ -60,10 +60,10 @@ class IndexStreams:
     the draws the module docstring describes; 1 <= q_i <= 2**32.
 
     Every ``draw`` advances all streams together, so one counter ``drawn``
-    (draws used, not prefetched) also says which row of the current block
-    is next.  A stream whose block dropped a word moves to ``_numpy``: its
-    bit generator is rewound to the block's start and every block of it
-    from then on is drawn by numpy, which keeps any half word itself.
+    (draws used, not prefetched) also says which block and row are next.
+    ``_live`` maps each row that reads raw words to its agent id; no object
+    is held per agent.  A stream whose block dropped a word moves to
+    ``_numpy``, where numpy draws it and keeps any half word itself.
     """
 
     def __init__(self, q, seed: int, agent_ids):
@@ -73,34 +73,42 @@ class IndexStreams:
         self.drawn = 0
         self._q = q.astype(np.uint64)
         self._cut = (np.uint64(1 << 32) - self._q) % self._q
-        self._philox = {i: np.random.Philox(_Key(np.array(
-            [seed, agent_ids[i]], dtype=np.uint64)))
-            for i in np.flatnonzero(q > 1).tolist()}
+        self._seed = int(seed)
+        self._live = {i: int(agent_ids[i]) for i in np.flatnonzero(q > 1).tolist()}
         self._numpy: dict[int, np.random.Generator] = {}
         self._block = None
+        # Python-int key and counter per row (arrays set slower); empty buffer
+        self._philox = np.random.Philox(_Key(np.zeros(2, dtype=np.uint64)))
+        self._state = dict(self._philox.state, buffer=(0, 0, 0, 0))
 
     def draw(self) -> np.ndarray:
         """One index per stream (read-only); advances every stream by one."""
         k = self.drawn % BLOCK
         if k == 0:
-            self._block = self._next_block()
+            self._block = self._next_block(self.drawn // BLOCK)
         self.drawn += 1
         return self._block[k]
 
     def replay(self, draws: int):
         """Put fresh streams where ``draws`` draws leave them."""
-        for _ in range(-(-draws // BLOCK)):
-            self._block = self._next_block()
+        for b in range(-(-draws // BLOCK)):
+            self._block = self._next_block(b)
         self.drawn = draws
 
-    def _next_block(self) -> np.ndarray:
-        """The next BLOCK draws of every stream: row k holds draw k of each.
+    def _next_block(self, b: int) -> np.ndarray:
+        """Block b of every stream: row k holds draw b*BLOCK + k of each.
 
         Streams with q = 1 or in ``_numpy`` read no words here; zero words
         give them index 1, and numpy then fills the ``_numpy`` columns.
         """
         raw = np.zeros((len(self._q), BLOCK // 2), dtype="<u8")
-        for i, p in self._philox.items():
+        # BLOCK // 2 raw words from an empty buffer are BLOCK // 8 counters
+        start = b * (BLOCK // 8)
+        p, state, seed = self._philox, self._state, self._seed
+        state["state"] = inner = {"counter": (start, 0, 0, 0)}
+        for i, agent in self._live.items():
+            inner["key"] = (seed, agent)
+            p.state = state
             raw[i] = p.random_raw(BLOCK // 2)
         words = raw.view("<u4")     # each raw word's low half, then its high
         # (w*q) mod 2**32 by uint32 wrap-around (q = 2**32 wraps to 0, cut 0),
@@ -112,11 +120,9 @@ class IndexStreams:
         block >>= 32
         block = block.view(np.int64)
         block += 1
-        for r in self._philox.keys() & set(dropped.tolist()):
-            # BLOCK // 2 raw words from an empty buffer are BLOCK // 8 Philox
-            # counters; advance also empties the buffer and the half word
-            p = self._philox.pop(r).advance(-(BLOCK // 8))
-            self._numpy[r] = np.random.Generator(p)
+        for r in self._live.keys() & set(dropped.tolist()):
+            key = _Key(np.array([seed, self._live.pop(r)], dtype=np.uint64))
+            self._numpy[r] = np.random.Generator(np.random.Philox(key).advance(start))
         for r, g in self._numpy.items():
             block[:, r] = g.integers(1, int(self._q[r]) + 1, size=BLOCK)
         block.flags.writeable = False

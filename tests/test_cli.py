@@ -118,6 +118,27 @@ def test_reference_failure_exits_with_metadata(tmp_path, capsys, monkeypatch):
     assert not any(ln.startswith("reference.") for ln in meta)
 
 
+@pytest.mark.parametrize("command", ["run", "certify", "compare"])
+def test_graph_that_cannot_be_drawn_is_a_config_error(tmp_path, capsys,
+                                                      monkeypatch, command):
+    # m, p and the seed come from the config, so no connected G(m, p)
+    # sample within the retry budget is the config's fault: exit 2
+    def solve(*args, **kwargs):
+        raise AssertionError("reference solve ran")
+
+    monkeypatch.setattr(harness, "reference_solution", solve)
+    text = QUAD_CONFIG.replace("kind = ring\nm = 4\n",
+                               "kind = random_gnp\nm = 50\np = 1e-9\n")
+    argv = [command, write(tmp_path, text, alpha="0.01", rounds=10)]
+    if command == "compare":
+        argv += ["--algos", "sdiging", "--target", "-3"]
+    assert cli.main(argv) == cli.EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err == "construction_failure: no connected G(50, 1e-09) sample " \
+        "in 1000 retries\n"
+    assert not any(tmp_path.glob("t.*"))
+
+
 @pytest.mark.parametrize("every", ["0", "-7"])
 def test_record_every_below_one_fails_before_set_up(tmp_path, capsys,
                                                     monkeypatch, every):

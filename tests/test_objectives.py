@@ -609,6 +609,32 @@ def test_stacked_gradient_matches_scalar():
     assert np.array_equal(tie, [2.0, 0.0, 0.0, 0.0, 0.0, 0.0])
 
 
+def test_disk_residual_equals_boolean_indexed_projection():
+    # inside, on the edge of, outside of and NaN rows: every bit, NaN
+    # included, equals projecting only the rows outside their disks
+    rng = np.random.default_rng(29)
+    r = rng.uniform(-2, 2, (7, 2))
+    radius = rng.uniform(0.5, 1.5, 7)
+    u = rng.standard_normal((7, 2))
+    u /= np.linalg.norm(u, axis=1)[:, None]
+    x = r + np.array([0.3, 1.0, 2.5, 7.0, 0.0, 1.0, 1.0])[:, None] * \
+        radius[:, None] * u
+    x[5] = [np.nan, 1.0]
+    x[6] = np.nan
+    d = x - r
+    dist = np.sqrt(np.sum(d * d, axis=1))
+    out = dist > radius
+    assert out.tolist() == [False, False, True, True, False, False, False]
+    proj = x.copy()
+    proj[out] = r[out] + (radius[out] / dist[out])[:, None] * d[out]
+    got = DiskDistance._residual([r, radius], x)
+    assert np.array_equal(got, x - proj, equal_nan=True)
+    # a literal 0.0 for the rows not projected would zero the NaN rows
+    assert np.isnan(got).tolist()[5:] == [[True, False], [True, True]]
+    assert not np.isnan(got[:5]).any()
+    assert np.all(got[[0, 1, 4]] == 0.0) and np.all(got[[2, 3]] != 0.0)
+
+
 def test_problem_oracle_matches_per_agent_loops():
     params = quadratic_family(1, 9, 2, (1.0, 2.0), seed=3).stacked.params
     sizes = [3, 1, 5]                         # uneven q exercises the offsets

@@ -1,4 +1,5 @@
 import copy
+import gc
 
 import numpy as np
 import pytest
@@ -338,6 +339,56 @@ def test_handed_over_row_beside_one_pass_rows():
             rest = np.stack([streams.draw() for _ in range(n - draws)])
             for col in range(3):
                 assert rest[:, col].tolist() == expect[col][draws:]
+
+
+def test_streams_at_scale_with_permuted_ids_and_handoffs():
+    # 600 agents with permuted, non-contiguous ids up to 2**64 - 1 and a
+    # seed >= 2**63; q = 1 and small q stay on the one-pass path, while
+    # 3*2**30 (a quarter of the words dropped) hands rows over in the first
+    # blocks and 2**32 - 2**26 (1/64 dropped) in later ones
+    rng = np.random.default_rng(37)
+    m, seed, n = 600, 2 ** 63 + 2 ** 40 + 9, 5 * saga.BLOCK + 23
+    ids = (rng.choice(2 ** 40, size=m, replace=False) * 3 + 1).tolist()
+    for i, a in zip(rng.choice(m, size=3, replace=False), [2 ** 64 - 1, 2 ** 63, 0]):
+        ids[i] = a
+    qs = rng.choice([1, 2, 7, 30, 3 * 2 ** 30, 2 ** 32 - 2 ** 26], size=m)
+    expect = np.stack([np.random.Generator(np.random.Philox(key=np.array(
+        [seed, a], dtype=np.uint64))).integers(1, int(q) + 1, size=n)
+        for a, q in zip(ids, qs)], axis=1)
+    streams = saga.IndexStreams(qs, seed, ids)
+    got, handed = [], []
+    for _ in range(n):
+        got.append(streams.draw())
+        handed.append(len(streams._numpy))
+    assert np.array_equal(np.stack(got), expect)
+    # handoffs happen in the first block and in later ones, never to a row
+    # that cannot drop a word
+    assert 0 < handed[0] < handed[-1]
+    assert set(streams._numpy) <= set(np.flatnonzero(qs >= 3 * 2 ** 30))
+    for draws in (3 * saga.BLOCK, 3 * saga.BLOCK + 17, 5 * saga.BLOCK + 1):
+        back = saga.IndexStreams(qs, seed, ids)
+        back.replay(draws)
+        assert back.drawn == draws
+        rest = np.stack([back.draw() for _ in range(n - draws)])
+        assert np.array_equal(rest, expect[draws:])
+
+
+def test_streams_hold_no_object_per_agent():
+    # building the streams and drawing their first block adds as many
+    # GC-tracked objects at m = 1000 as at m = 10
+    def added(m):
+        gc.collect()
+        gc.disable()
+        try:
+            before = len(gc.get_objects())
+            streams = saga.IndexStreams(np.full(m, 10), 2 ** 63 + 1, range(m))
+            streams.draw()
+            return len(gc.get_objects()) - before
+        finally:
+            gc.enable()
+
+    added(10)           # numpy's first calls may allocate for good
+    assert added(1000) <= added(10)
 
 
 def test_uneven_q_with_single_component_rows():
