@@ -57,9 +57,12 @@ def make_tables(problem: ProblemInstance, seed: int) -> GradientTables:
     stacked gradient over all components, streams keyed by (seed, agent
     index)."""
     st = problem.stacked
-    grads = np.zeros((problem.m, problem.q_max, problem.dim))
-    grads[np.arange(problem.q_max) < problem.q[:, None]] = st.grad(
-        st.params, np.zeros((len(st.params[0]), problem.dim)))
+    fresh = st.grad(st.params, np.zeros((len(st.params[0]), problem.dim)))
+    if st.split is None:        # equal q: the rows are the tables already
+        grads = fresh.reshape(problem.m, problem.q_max, problem.dim)
+    else:
+        grads = np.zeros((problem.m, problem.q_max, problem.dim))
+        grads[np.arange(problem.q_max) < problem.q[:, None]] = fresh
     return GradientTables(grads, problem.q, seed, range(problem.m))
 
 
@@ -99,16 +102,20 @@ def step(rule: str, s: NetworkState, w: MixingMatrix, problem: ProblemInstance,
     if s.x.shape != (w.m, problem.dim) or \
             (tables is not None and len(tables) != problem.m):
         raise InvalidArgumentError("state/tables/problem dimensions disagree")
-    return _round(dual, s, w.operator, problem, alpha, tables)
+    return _round(dual, s, w.operator, problem, alpha, tables)[0]
 
 
 def _round(dual: bool, s: NetworkState, mix, problem: ProblemInstance,
-           alpha: float, tables: GradientTables | None) -> NetworkState:
+           alpha: float, tables: GradientTables | None, wx=None):
     """The round ``step`` and ``run`` take, without argument checks; ``mix``
-    is ``w.operator``."""
+    is ``w.operator``.  Returns the new state and, for primal_dual, its
+    ``mix @ x``, which ``run`` passes back as ``wx`` (``mix @ s.x``) so that
+    the next round does not compute it again."""
     if dual:
+        if wx is None:
+            wx = mix @ s.x
         # W^2 x - alpha g - (I - W) lam, without forming W^2 or I - W
-        x_new = mix @ (mix @ s.x) - alpha * s.g_prev - (s.lam - mix @ s.lam)
+        x_new = mix @ wx - alpha * s.g_prev - (s.lam - mix @ s.lam)
     else:
         x_new = mix @ s.x - alpha * s.y
     if tables is None:
@@ -117,10 +124,11 @@ def _round(dual: bool, s: NetworkState, mix, problem: ProblemInstance,
         idx = tables.draw()
         g_new = tables.update(idx, problem.drawn_gradients(x_new, idx))
     if dual:
-        return NetworkState(x=x_new, lam=s.lam + (x_new - mix @ x_new),
-                            g_prev=g_new, k=s.k + 1)
+        wx = mix @ x_new
+        return NetworkState(x=x_new, lam=s.lam + (x_new - wx), g_prev=g_new,
+                            k=s.k + 1), wx
     return NetworkState(x=x_new, y=mix @ s.y + g_new - s.g_prev, g_prev=g_new,
-                        k=s.k + 1)
+                        k=s.k + 1), None
 
 
 def assert_tracking_identity(s: NetworkState, tol: float):
@@ -281,13 +289,44 @@ class RunTrace:
 
 
 # Diagnostics are evaluated on stacks of at most this many floats of pending
-# iterates: a bound on the memory the stack takes, not a tuning knob.
-DIAGNOSTIC_FLOATS = 4096
+# iterates: a bound on the memory a batch holds (its iterates, kept alive
+# until evaluated, and their stack: 2 x 128 KiB of floats), not a tuning
+# knob.  It puts 204 records in a batch at m x n = 80 and 4 at m x n = 4000.
+DIAGNOSTIC_FLOATS = 1 << 14
+
+
+def _reference(x_star, dim: int) -> np.ndarray:
+    x_star = np.asarray(x_star, dtype=float)
+    if x_star.shape != (dim,):
+        raise InvalidArgumentError(
+            f"reference needs shape ({dim},), got {x_star.shape}")
+    return x_star
+
+
+def _row_norms(xs: np.ndarray, centre: np.ndarray) -> np.ndarray:
+    """``np.linalg.norm(xs - centre, axis=-1)``, bit for bit.
+
+    Below 8 columns numpy adds a row's squares in column order, so the
+    squares are added one column at a time, each over all rows at once,
+    instead of in numpy's inner loop once per short row.  From 8 columns on
+    numpy adds them pairwise, and its own norm is used.
+    """
+    if xs.shape[-1] >= 8:
+        return np.linalg.norm(xs - centre, axis=-1)
+    total = None
+    for j in range(xs.shape[-1]):
+        d = xs[..., j] - centre[..., j]
+        d *= d
+        if total is None:
+            total = d
+        else:
+            total += d
+    return np.sqrt(total, out=total)
 
 
 def residuals_log10(xs: np.ndarray, x_star: np.ndarray) -> list:
     """``residual_log10`` of every iterate of an R x m x n stack."""
-    dist = np.linalg.norm(xs - x_star, axis=-1)
+    dist = _row_norms(xs, _reference(x_star, xs.shape[-1]))
     mean_dist = np.add.reduce(dist, axis=-1) / xs.shape[1]
     return [RESIDUAL_FLOOR if v == 0.0 else max(math.log10(v), RESIDUAL_FLOOR)
             for v in mean_dist.tolist()]
@@ -296,11 +335,12 @@ def residuals_log10(xs: np.ndarray, x_star: np.ndarray) -> list:
 def consensus_gaps(xs: np.ndarray) -> list:
     """``consensus_gap`` of every iterate of an R x m x n stack."""
     center = np.add.reduce(xs, axis=1) / xs.shape[1]
-    return np.linalg.norm(xs - center[:, None], axis=-1).max(axis=-1).tolist()
+    return _row_norms(xs, center[:, None]).max(axis=-1).tolist()
 
 
 def residual_log10(x: np.ndarray, x_star: np.ndarray) -> float:
-    """log10 of the mean agent distance to the reference, floored at -16."""
+    """log10 of the mean agent distance to the reference, floored at -16;
+    ``x_star`` has shape (n,)."""
     return residuals_log10(np.asarray(x, dtype=float)[None], x_star)[0]
 
 
@@ -317,9 +357,9 @@ def run(algorithm: str, problem: ProblemInstance, w: MixingMatrix, alpha: float,
     Returns ``(trace, final_state)``.  Round 0, every ``record_every``-th
     round and the last round are recorded; ``record_every`` defaults to
     ``max(1, rounds // 2000)`` and must be at least 1.  The residual column
-    is NaN when no reference optimum is supplied.  Raises DivergenceError
-    (carrying the partial trace, which ends at the offending round) if an
-    iterate norm passes the guard threshold.
+    is NaN when no reference optimum is supplied; a reference has shape
+    (n,).  Raises DivergenceError (carrying the partial trace, which ends at
+    the offending round) if an iterate norm passes the guard threshold.
 
     A record keeps the round, a reference to the iterate (``step`` returns
     fresh arrays and never writes into one it returned), the eval count and
@@ -327,6 +367,10 @@ def run(algorithm: str, problem: ProblemInstance, w: MixingMatrix, alpha: float,
     evaluated together, once ``DIAGNOSTIC_FLOATS`` floats of iterates are
     pending and when the run ends or diverges, with the same values
     ``residual_log10`` and ``consensus_gap`` give one iterate at a time.
+
+    primal_dual's round ends with ``W @ x``, which the next round's first
+    product needs again; ``run`` hands it over, so primal_dual applies W
+    three times per round after the first, not four as ``step`` does.
     """
     _check_rule(algorithm)
     if rounds < 1:
@@ -337,6 +381,8 @@ def run(algorithm: str, problem: ProblemInstance, w: MixingMatrix, alpha: float,
         record_every = max(1, rounds // 2000)
     if record_every < 1:
         raise InvalidArgumentError(f"need record_every >= 1, got {record_every}")
+    if reference is not None:
+        reference = _reference(reference, problem.dim)
 
     tables = None if algorithm == "diging" else make_tables(problem, seed)
     state = init_state(algorithm, problem, tables)
@@ -366,9 +412,9 @@ def run(algorithm: str, problem: ProblemInstance, w: MixingMatrix, alpha: float,
             evaluate_pending()
 
     record(state)
-    dual, mix = algorithm == "primal_dual", w.operator
+    dual, mix, wx = algorithm == "primal_dual", w.operator, None
     for _ in range(rounds):
-        state = _round(dual, state, mix, problem, alpha, tables)
+        state, wx = _round(dual, state, mix, problem, alpha, tables, wx)
         evals += per_round
         # the Euclidean norm as np.linalg.norm takes it; NaN and inf
         # entries fail the comparison too

@@ -338,6 +338,61 @@ def test_residual_formula():
     assert engine.residual_log10(one, x_star) == pytest.approx(0.0, abs=1e-15)
 
 
+@pytest.mark.parametrize("bad", [[0.5], np.zeros((3, 2)), [0.0, 1.0, 2.0],
+                                 np.zeros(0), np.array(1.0)],
+                         ids=["length-1", "per-agent", "too-long", "empty",
+                              "scalar"])
+def test_reference_needs_shape_dim(bad, monkeypatch):
+    prob = quadratic_family(3, 2, 2, (1.0, 2.0), seed=9)
+    w = mixing("ring", 3)
+
+    def no_round(*args):
+        raise AssertionError("a round ran before the reference was checked")
+
+    monkeypatch.setattr(engine, "_round", no_round)
+    with pytest.raises(InvalidArgumentError, match=r"reference needs shape \(2,\)"):
+        engine.run("sdiging", prob, w, 0.01, 10, reference=bad)
+    with pytest.raises(InvalidArgumentError, match=r"reference needs shape \(2,\)"):
+        engine.residual_log10(np.zeros((3, 2)), bad)
+
+
+def old_residuals_log10(xs, x_star):
+    """``residuals_log10`` as numpy's row norm gives it."""
+    dist = np.linalg.norm(xs - x_star, axis=-1)
+    mean_dist = np.add.reduce(dist, axis=-1) / xs.shape[1]
+    return [-16.0 if v == 0.0 else max(math.log10(v), -16.0)
+            for v in mean_dist.tolist()]
+
+
+def old_consensus_gaps(xs):
+    center = np.add.reduce(xs, axis=1) / xs.shape[1]
+    return np.linalg.norm(xs - center[:, None], axis=-1).max(axis=-1).tolist()
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 7, 8, 9, 20, 129])
+def test_batched_diagnostics_equal_numpy_norms(n):
+    rng = np.random.default_rng(n)
+    for m in (1, 2, 1000):
+        x_star = rng.standard_normal(n) * 10.0 ** rng.uniform(-3, 3, n)
+        for r in (1, 4, 33):
+            xs = rng.standard_normal((r, m, n)) * 10.0 ** rng.uniform(-6, 6, (r, m, n))
+            if r > 1:
+                xs[0] = x_star              # on the reference: the -16 floor
+                xs[1] = 0.25                # every agent equal: gap 0
+                xs[2, -1, 0] = np.nan       # the divergence path
+                xs[3, 0, -1] = np.inf
+                xs[3, -1, 0] = -np.inf
+            with np.errstate(invalid="ignore", over="ignore"):   # inf - inf
+                got = (engine.residuals_log10(xs, x_star),
+                       engine.consensus_gaps(xs))
+                want = (old_residuals_log10(xs, x_star), old_consensus_gaps(xs))
+            for a, b in zip(got, want):
+                assert np.array_equal(a, b, equal_nan=True), (m, r)
+            if r > 1:
+                assert got[0][0] == -16.0 and got[1][1] == 0.0
+                assert math.isnan(got[0][2]) and math.isnan(got[1][2])
+
+
 def test_consensus_gap_formula():
     x = np.array([[0.0, 0.0], [2.0, 0.0]])
     assert engine.consensus_gap(x) == pytest.approx(1.0)
@@ -401,54 +456,72 @@ def va2():
         harness.reference_solution(prob, seed=3).x
 
 
+def records_per_batch(prob):
+    return max(1, engine.DIAGNOSTIC_FLOATS // (prob.m * prob.dim))
+
+
 @pytest.mark.parametrize("rule", engine.ALGORITHMS)
 def test_batched_trace_over_several_batches(rule):
-    # m x n = 20 floats per iterate: 204 records per batch, 450 records
+    # m x n = 20 floats per iterate: two full batches and half of a third
     prob, _ = harness.localization_instance(m=10, q_i=20, sigma=0.0, seed=9)
     w = mixing("random_gnp", 10, p=0.4, seed=9)
     ref = harness.reference_solution(prob, seed=9).x
-    trace, _ = engine.run(rule, prob, w, 0.1, 449, seed=11, record_every=1,
+    batch = records_per_batch(prob)
+    rounds = 2 * batch + batch // 2
+    trace, _ = engine.run(rule, prob, w, 0.1, rounds, seed=11, record_every=1,
                           reference=ref)
-    assert_same_columns(trace, stepped_trace(rule, prob, w, 0.1, 449, 11, 1, ref))
+    assert len(trace.rounds) > 2 * batch
+    assert_same_columns(trace, stepped_trace(rule, prob, w, 0.1, rounds, 11, 1,
+                                             ref))
 
 
 @pytest.mark.parametrize("reference", ["solved", None])
 def test_batched_trace_on_va2_off_cadence(reference):
-    # 51 records per batch; round 1003 is recorded although 5 does not divide it
+    # two full batches of records every 5 rounds, then a partial one that
+    # ends on a round 5 does not divide
     prob, w, ref = va2()
     ref = ref if reference else None
-    trace, _ = engine.run("sdiging", prob, w, 0.02, 1003, seed=11,
+    batch = records_per_batch(prob)
+    last = 5 * (2 * batch + batch // 4)
+    rounds = last + 3
+    trace, _ = engine.run("sdiging", prob, w, 0.02, rounds, seed=11,
                           record_every=5, reference=ref)
-    want = stepped_trace("sdiging", prob, w, 0.02, 1003, 11, 5, ref)
-    assert want["rounds"][-2:] == [1000, 1003]
+    want = stepped_trace("sdiging", prob, w, 0.02, rounds, 11, 5, ref)
+    assert want["rounds"][-2:] == [last, rounds]
+    assert len(want["rounds"]) > 2 * batch
     assert all(math.isnan(v) for v in trace.residual_log10) == (ref is None)
     assert_same_columns(trace, want)
 
 
 def test_batched_trace_at_m1000_through_csr():
-    # 4000 floats per iterate: every record is its own batch
+    # 4000 floats per iterate: several records share a batch, and the last
+    # batch is partial
     prob = harness.gaussian_logistic_instance(1000, 2, n=4, seed=3)
     w = mixing("random_gnp", 1000, p=0.02, seed=3)
     assert not isinstance(w.operator, np.ndarray)
+    batch = records_per_batch(prob)
+    assert batch >= 2
+    rounds = 3 * batch
     ref = np.full(4, 0.1)
     for rule in ("sdiging", "primal_dual"):
-        trace, _ = engine.run(rule, prob, w, 0.02, 12, seed=11,
+        trace, _ = engine.run(rule, prob, w, 0.02, rounds, seed=11,
                               record_every=1, reference=ref)
-        assert_same_columns(trace, stepped_trace(rule, prob, w, 0.02, 12, 11,
-                                                 1, ref))
+        assert_same_columns(trace, stepped_trace(rule, prob, w, 0.02, rounds,
+                                                 11, 1, ref))
 
 
 @pytest.mark.parametrize("rule", engine.ALGORITHMS)
 def test_batched_partial_trace_ends_at_divergence(rule):
-    # diverges after 255-282 rounds, past the first batch of 204 records
-    prob = quadratic_family(10, 3, 2, (1.0, 2.0), seed=12)
-    w = mixing("random_gnp", 10, p=0.4, seed=9)
+    # m x n = 160 floats per iterate; diverges after 216-230 rounds, past
+    # the first batch of records
+    prob = quadratic_family(40, 3, 4, (1.0, 2.0), seed=12)
+    w = mixing("random_gnp", 40, p=0.4, seed=9)
     with pytest.raises(DivergenceError) as exc_info:
-        engine.run(rule, prob, w, 0.45, 3000, seed=11, record_every=1,
+        engine.run(rule, prob, w, 0.42, 3000, seed=11, record_every=1,
                    reference=prob.known_optimum)
     trace = exc_info.value.trace
-    want = stepped_trace(rule, prob, w, 0.45, 3000, 11, 1, prob.known_optimum)
-    assert 204 < want["rounds"][-1] < 3000
+    want = stepped_trace(rule, prob, w, 0.42, 3000, 11, 1, prob.known_optimum)
+    assert records_per_batch(prob) < want["rounds"][-1] < 3000
     assert f"at round {want['rounds'][-1]}" in str(exc_info.value)
     assert_same_columns(trace, want)
 
@@ -538,6 +611,8 @@ def test_run_matches_per_agent_reference(family, rule):
 @pytest.mark.parametrize("rule, products", [
     ("diging", 2), ("sdiging", 2), ("primal_dual", 4)])
 def test_step_mixes_only_through_the_operator(rule, products):
+    # ``products`` per ``step``; ``run`` hands primal_dual's closing W @ x
+    # to the next round, which then makes one product fewer
     class Counting:
         def __init__(self, a):
             self.a, self.calls = a, 0
@@ -551,8 +626,31 @@ def test_step_mixes_only_through_the_operator(rule, products):
     op = Counting(w.w)
     w = graph.MixingMatrix(operator=op, laziness=w.laziness,
                            topology=w.topology)
-    engine.run(rule, prob, w, 0.01, 3, seed=0)
-    assert op.calls == 3 * products
+    later = products - 1 if rule == "primal_dual" else products
+    for rounds in (1, 2, 3):
+        op.calls = 0
+        engine.run(rule, prob, w, 0.01, rounds, seed=0)
+        assert op.calls == products + (rounds - 1) * later
+    tables = None if rule == "diging" else engine.make_tables(prob, seed=0)
+    s = engine.init_state(rule, prob, tables)
+    for _ in range(3):
+        op.calls = 0
+        s = engine.step(rule, s, w, prob, 0.01, tables)
+        assert op.calls == products
+
+
+def test_step_recomputes_the_product_run_carries():
+    # a caller that edits a state between steps gets W applied to its x
+    prob = quadratic_family(5, 3, 2, (1.0, 2.0), seed=2)
+    w = mixing("ring", 5)
+    tables = engine.make_tables(prob, seed=0)
+    s = engine.init_state("primal_dual", prob, tables)
+    s = engine.step("primal_dual", s, w, prob, 0.01, tables)
+    edited = engine.NetworkState(x=s.x + 1.0, lam=s.lam, g_prev=s.g_prev, k=s.k)
+    x = engine.step("primal_dual", edited, w, prob, 0.01, tables).x
+    wx = w.w @ edited.x
+    want = w.w @ wx - 0.01 * s.g_prev - (s.lam - w.w @ s.lam)
+    assert np.array_equal(x, want)
 
 
 def test_csr_round_matches_dense_loop_at_m1000():

@@ -1,10 +1,11 @@
 import copy
 import gc
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from sdiging import engine, graph, saga
+from sdiging import engine, graph, harness, saga
 from sdiging.errors import InvalidArgumentError
 from sdiging.objectives import (
     ProblemInstance,
@@ -454,3 +455,50 @@ def test_update_matches_row_indexing_and_keeps_rows_attached(layout):
     idx = twin.draw()
     twin.update(idx, rng.standard_normal((4, 2)))
     twin.check_sums()
+
+
+def masked_tables(prob, seed):
+    """Tables filled as a zero m x q_max x n array through a boolean mask,
+    as ``engine.make_tables`` fills them for uneven q."""
+    st = prob.stacked
+    grads = np.zeros((prob.m, prob.q_max, prob.dim))
+    grads[np.arange(prob.q_max) < prob.q[:, None]] = st.grad(
+        st.params, np.zeros((len(st.params[0]), prob.dim)))
+    return saga.GradientTables(grads, prob.q, seed, range(prob.m))
+
+
+@pytest.mark.parametrize("family", ["quadratic", "uneven", "logistic",
+                                    "localization", "one-agent"])
+def test_make_tables_equals_the_masked_fill(family):
+    prob = {
+        "quadratic": lambda: quadratic_family(6, 4, 3, (1.0, 3.0), seed=1),
+        "uneven": lambda: ProblemInstance(
+            Quadratic, quad_local(12, 3, seed=4).stacked.params, [2, 5, 1, 4]),
+        "logistic": lambda: harness.gaussian_logistic_instance(7, 6, n=4, seed=2),
+        "localization": lambda: harness.localization_instance(
+            m=6, q_i=5, sigma=5.0, seed=3)[0],
+        "one-agent": lambda: logistic_local(9, 3, seed=5),
+    }[family]()
+    assert (prob.stacked.split is None) == (family != "uneven")
+    got, want = engine.make_tables(prob, seed=5), masked_tables(prob, seed=5)
+    assert np.array_equal(got.grads, want.grads)
+    assert np.array_equal(got.sums, want.sums)
+    assert [saga.dump_table(t) for t in got] == [saga.dump_table(t) for t in want]
+
+
+def test_equal_q_tables_skip_the_padded_copy():
+    # m = 1000, q = 10: the masked fill holds a zero table (320 kB) beside
+    # the gradient rows; the equal-q fill makes the rows the table
+    prob = harness.gaussian_logistic_instance(1000, 10, n=4, seed=3)
+
+    def peak(build):
+        tracemalloc.start()
+        try:
+            build(prob, 0)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    peak(engine.make_tables)        # first calls may allocate for good
+    table_bytes = 1000 * 10 * 4 * 8
+    assert peak(masked_tables) - peak(engine.make_tables) >= 0.9 * table_bytes
