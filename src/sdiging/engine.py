@@ -23,7 +23,7 @@ from sdiging.errors import (
     InvalidArgumentError,
 )
 from sdiging.graph import MixingMatrix
-from sdiging.objectives import ProblemInstance
+from sdiging.objectives import ProblemInstance, per_agent
 from sdiging.saga import GradientTables
 
 ALGORITHMS = ("diging", "sdiging", "primal_dual")
@@ -58,12 +58,7 @@ def make_tables(problem: ProblemInstance, seed: int) -> GradientTables:
     index)."""
     st = problem.stacked
     fresh = st.grad(st.params, np.zeros((len(st.params[0]), problem.dim)))
-    if st.split is None:        # equal q: the rows are the tables already
-        grads = fresh.reshape(problem.m, problem.q_max, problem.dim)
-    else:
-        grads = np.zeros((problem.m, problem.q_max, problem.dim))
-        grads[np.arange(problem.q_max) < problem.q[:, None]] = fresh
-    return GradientTables(grads, problem.q, seed, range(problem.m))
+    return GradientTables(per_agent(fresh, st), problem.q, seed, range(problem.m))
 
 
 def _check_rule(rule: str):

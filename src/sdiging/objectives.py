@@ -33,17 +33,23 @@ def _row_dots(d):
     return (d[:, None, :] @ d[:, :, None])[:, 0, 0]
 
 
+def per_agent(rows, st: StackedParams):
+    """The stacked rows as m x q_max blocks, agent i's rows in block i:
+    with equal q a reshape of ``rows`` itself, otherwise a copy with every
+    agent padded by zero rows after its last component."""
+    m, q = len(st.q), st.q
+    if st.split is None:
+        return rows.reshape(m, -1, *rows.shape[1:])
+    per = np.zeros((m, q.max(), *rows.shape[1:]))
+    per[np.arange(q.max()) < q[:, None]] = rows
+    return per
+
+
 def _running_sums(rows, st: StackedParams):
     """Row i: agent i's rows added one at a time in component order, as a
     loop over the components adds them (reduce and reduceat sum in another
     order).  Uneven agents are padded with zero rows; adding 0.0 is exact."""
-    m, q = len(st.q), st.q
-    if st.split is None:
-        per = rows.reshape(m, -1, *rows.shape[1:])
-    else:
-        per = np.zeros((m, q.max(), *rows.shape[1:]))
-        per[np.arange(q.max()) < q[:, None]] = rows
-    return np.add.accumulate(per, axis=1)[:, -1]
+    return np.add.accumulate(per_agent(rows, st), axis=1)[:, -1]
 
 
 def _on_every_row(st: StackedParams, x):

@@ -61,3 +61,4 @@ def test_zero_spread_and_unpaired_runs():
 def test_metrics_follow_the_benchmark():
     assert ab_pairs.METRICS == {"run_s": "lower", "setup_s": "lower",
                                 "step_us": "lower", "peak_rss_mb": "lower"}
+    assert ab_pairs.SECONDS == 25

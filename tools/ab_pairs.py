@@ -2,18 +2,22 @@
 against the working tree.
 
     python3 tools/ab_pairs.py --parent REV --pr N \\
-        --runs m1000_compare:0:10 m1000_compare:1:5 va2_run:0:5
+        --runs m1000_compare:0:10 m1000_compare:1:5 va2_run:0:10
 
-The parent's committed files are exported with ``git archive`` into a
-temporary directory (no network, nothing registered in the repository), and
-each ``workload:seed:pairs`` entry runs that many pairs of
+Both sides are exported with ``git archive`` into sibling directories
+``parent`` and ``change`` of one temporary directory (no network, nothing
+registered in the repository): the parent from REV, the change from
+``git stash create`` (the working tree's tracked files, staged new files
+included) or HEAD when the tree is clean.  Each ``workload:seed:pairs``
+entry runs that many pairs of
 
-    python3 perfbench/run.py --workload W --seed S --seconds 25 --trace 0
+    python3 perfbench/run.py --workload W --seed S --seconds T --trace 0
 
-once in each tree, odd pairs parent first and even pairs change first.
-``BENCH_<pr>.json`` gets every run and, per workload, seed and metric,
-each side's median and quartiles, the pairs the change won, and the median
-gap over the parent's quartile spread.
+once in each tree, T being ``run_seconds`` of BENCHMARK.json, odd pairs
+parent first and even pairs change first, with one BLAS thread.
+``ROOT/BENCH_<pr>.json`` gets every run, the CPU and thread settings, and
+per workload, seed and metric, each side's median and quartiles, the pairs
+the change won, and the median gap over the parent's quartile spread.
 """
 
 from __future__ import annotations
@@ -33,8 +37,13 @@ import tempfile
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
-METRICS = {m["name"]: m["better"] for m in
-           json.loads((ROOT / "BENCHMARK.json").read_text())["end_to_end"]}
+_BENCHMARK = json.loads((ROOT / "BENCHMARK.json").read_text())
+METRICS = {m["name"]: m["better"] for m in _BENCHMARK["end_to_end"]}
+SECONDS = _BENCHMARK["run_seconds"]
+# Set for every perfbench process, so that the driver and the operations it
+# starts use one BLAS thread whatever the calling shell holds.
+BLAS_ENV = dict.fromkeys(
+    ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"), "1")
 
 
 def quartiles(values: list) -> dict:
@@ -80,10 +89,14 @@ def summarize(runs: list, metrics: dict = METRICS) -> dict:
     return out
 
 
+def git(*args: str) -> str:
+    return subprocess.run(["git", *args], cwd=ROOT, check=True,
+                          capture_output=True, text=True).stdout.strip()
+
+
 def export(rev: str, dest: Path) -> str:
     """Write the files of ``rev`` into ``dest``; returns the full hash."""
-    sha = subprocess.run(["git", "rev-parse", rev], cwd=ROOT, check=True,
-                         capture_output=True, text=True).stdout.strip()
+    sha = git("rev-parse", rev)
     tar = subprocess.run(["git", "archive", sha], cwd=ROOT, check=True,
                          capture_output=True).stdout
     with tarfile.open(fileobj=io.BytesIO(tar)) as tf:
@@ -91,12 +104,12 @@ def export(rev: str, dest: Path) -> str:
     return sha
 
 
-def bench(tree: Path, workload: str, seed: int, seconds: float) -> dict:
+def bench(tree: Path, workload: str, seed: int) -> dict:
     """One untraced perfbench run in ``tree``: its metrics and run counts."""
     proc = subprocess.run(
         [sys.executable, "perfbench/run.py", "--workload", workload,
-         "--seed", str(seed), "--seconds", str(seconds), "--trace", "0"],
-        cwd=tree, capture_output=True, text=True)
+         "--seed", str(seed), "--seconds", str(SECONDS), "--trace", "0"],
+        cwd=tree, capture_output=True, text=True, env={**os.environ, **BLAS_ENV})
     lines = proc.stdout.strip().splitlines()
     if proc.returncode != 0 or not lines:
         raise RuntimeError(f"perfbench failed in {tree}: {proc.stderr[-2000:]}")
@@ -111,36 +124,44 @@ def src_lines(tree: Path) -> int:
                for p in (tree / "src").rglob("*.py"))
 
 
+def cpu_model() -> str:
+    cpuinfo = Path("/proc/cpuinfo")
+    lines = cpuinfo.read_text().splitlines() if cpuinfo.exists() else []
+    return next((line.split(":", 1)[1].strip() for line in lines
+                 if line.startswith("model name")), platform.processor())
+
+
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--parent", required=True, help="git revision to compare")
     ap.add_argument("--pr", required=True, help="names BENCH_<pr>.json")
     ap.add_argument("--runs", nargs="+", required=True,
                     help="workload:seed:pairs entries, run in this order")
-    ap.add_argument("--seconds", type=float, default=25.0)
     ap.add_argument("--description", default="")
-    ap.add_argument("--out-dir", type=Path, default=ROOT)
     args = ap.parse_args(argv)
 
     plan = []
     for entry in args.runs:
         workload, seed, n = entry.split(":")
         plan.append((workload, int(seed), int(n)))
-    out = args.out_dir / f"BENCH_{args.pr}.json"
-    with tempfile.TemporaryDirectory(prefix="ab_parent_") as tmp:
-        parent = Path(tmp)
-        sha = export(args.parent, parent)
-        trees = {"parent": parent, "change": ROOT}
+    out = ROOT / f"BENCH_{args.pr}.json"
+    with tempfile.TemporaryDirectory(prefix="ab_") as tmp:
+        trees = {side: Path(tmp) / side for side in ("parent", "change")}
+        commits = {"parent": export(args.parent, trees["parent"]),
+                   "change": export(git("stash", "create") or "HEAD",
+                                    trees["change"])}
         record = {
             "description": args.description,
             "command": f"python3 perfbench/run.py --workload W --seed S "
-                       f"--seconds {args.seconds:g} --trace 0",
-            "parent_commit": sha,
+                       f"--seconds {SECONDS} --trace 0",
+            "parent_commit": commits["parent"],
+            "change_commit": commits["change"],
             "environment": {"python": platform.python_version(),
                             **{lib: importlib.metadata.version(lib)
                                for lib in ("numpy", "scipy")},
                             "nproc": os.cpu_count(),
-                            "machine": platform.machine()},
+                            "machine": platform.machine(),
+                            "cpu": cpu_model(), **BLAS_ENV},
             "order": "pairs alternate: odd pairs run parent first, "
                      "even pairs change first",
             "src_lines": {s: src_lines(t) for s, t in trees.items()},
@@ -153,7 +174,7 @@ def main(argv=None) -> int:
                 order = ("parent", "change") if pair % 2 else ("change", "parent")
                 for side in order:
                     runs.append({"pair": pair, "side": side,
-                                 **bench(trees[side], workload, seed, args.seconds)})
+                                 **bench(trees[side], workload, seed)})
                     print(key, json.dumps(runs[-1]), flush=True)
                 record["summary"][key] = summarize(runs)
                 out.write_text(json.dumps(record, indent=1) + "\n")
