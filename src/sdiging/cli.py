@@ -42,18 +42,7 @@ EXIT_DIVERGENCE = 4
 EXIT_CERTIFICATE = 5
 
 
-def _apply_overrides(cfg, args):
-    if args.seed_override is not None:
-        cfg.run_seed = args.seed_override
-        cfg.problem_seed = args.seed_override
-        cfg.topology_seed = args.seed_override
-    if args.output_dir is not None:
-        cfg.output_dir = args.output_dir
-    return cfg
-
-
-def cmd_run(args, say) -> int:
-    cfg = _apply_overrides(harness.parse_config(args.config), args)
+def cmd_run(cfg, args, say) -> int:
     result = harness.run_experiment(cfg)
     say(f"trace written to {result.trace_path}")
     say(f"metadata written to {result.meta_path}")
@@ -62,18 +51,16 @@ def cmd_run(args, say) -> int:
     return EXIT_OK
 
 
-def cmd_certify(args, say) -> int:
-    cfg = _apply_overrides(harness.parse_config(args.config), args)
+def cmd_certify(cfg, args, say) -> int:
     w = harness.build_mixing(cfg)
     problem = harness.build_problem(cfg)
-    alpha = None if cfg.alpha == "auto" else float(cfg.alpha)
+    alpha = None if cfg.alpha == "auto" else cfg.alpha
     cert = engine.certificate_for_problem(w, problem, alpha=alpha)
     print(cert.to_text(), end="")
     return EXIT_OK if cert.valid else EXIT_CERTIFICATE
 
 
-def cmd_compare(args, say) -> int:
-    cfg = _apply_overrides(harness.parse_config(args.config), args)
+def cmd_compare(cfg, args, say) -> int:
     algorithms = [a.strip() for a in args.algos.split(",") if a.strip()]
     if not algorithms:
         raise ConfigError("no algorithms given")
@@ -122,7 +109,12 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     say = (lambda _msg: None) if args.quiet else print
     try:
-        return args.func(args, say)
+        cfg = harness.parse_config(args.config)   # once, for every command
+        if args.seed_override is not None:
+            cfg.run_seed = cfg.problem_seed = cfg.topology_seed = args.seed_override
+        if args.output_dir is not None:
+            cfg.output_dir = args.output_dir
+        return args.func(cfg, args, say)
     except ConfigError as exc:
         print(f"config_error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

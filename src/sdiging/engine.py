@@ -3,9 +3,9 @@
 Three interchangeable update rules operate on stacked per-agent iterates
 (one row per agent): deterministic gradient tracking, its stochastic
 variant driven by per-agent gradient tables, and the equivalent
-primal-dual iteration used for cross-checking.  Certification evaluates
-the explicit parameter intervals and the rate constant for strongly
-convex problems.
+primal-dual iteration used for cross-checking.  Certification
+(``certificate_for_problem``, its one entry point) evaluates the explicit
+parameter intervals and the rate constant for strongly convex problems.
 """
 
 from __future__ import annotations
@@ -176,18 +176,20 @@ def step_size_interval(w: MixingMatrix, mu: float, lip: float,
     return w.rho_min ** 2 / (eta + lip ** 2 / phi)
 
 
-def rate_certificate(w: MixingMatrix, mu: float, lip: float,
-                     q_min: int, q_max: int,
-                     alpha: float | None = None) -> RateCertificate:
-    """Evaluate the admissible parameter intervals and the rate constant.
+def certificate_for_problem(w: MixingMatrix, problem: ProblemInstance,
+                            alpha: float | None = None) -> RateCertificate:
+    """Evaluate the admissible parameter intervals and the rate constant
+    for ``problem``'s constants mu, lip, q_min and q_max on ``w``.
 
     Free parameters left open by the theory are pinned deterministically:
     phi, gamma, d and e are fixed below, eta sits 5% above its lower
     endpoint, c is the geometric mean of its interval endpoints, and alpha
     (when not given) is half of alpha_max.  An empty interval or an
     out-of-range alpha yields an invalid certificate with a reason, never
-    an exception.
+    an exception; only mu <= 0 raises ``CertificationRefused``.
     """
+    mu, lip = problem.mu, problem.lip
+    q_min, q_max = problem.q_min, problem.q_max
     if mu <= 0:
         raise CertificationRefused("objective is not strongly convex (mu <= 0)")
     # inside the theorem's ranges 0 < phi < 2 mu, 0 < gamma < 1, d, e > 1
@@ -239,13 +241,6 @@ def rate_certificate(w: MixingMatrix, mu: float, lip: float,
 
     return RateCertificate(valid=True, c=c, theta=theta, delta=0.5 * theta,
                            **common)
-
-
-def certificate_for_problem(w: MixingMatrix, problem: ProblemInstance,
-                            alpha: float | None = None) -> RateCertificate:
-    return rate_certificate(w, mu=problem.mu, lip=problem.lip,
-                            q_min=problem.q_min, q_max=problem.q_max,
-                            alpha=alpha)
 
 
 def iterations_to_accuracy(cert: RateCertificate, kappa: float,

@@ -2,9 +2,12 @@
 
 Experiments are described by flat INI-style config files with sections
 ``[problem]``, ``[topology]``, ``[algorithm]`` and ``[output]``; unknown
-keys are hard errors.  The centralized reference solver is an accelerated
-full-gradient method with backtracking, replacing an external convex
-solver.
+keys are hard errors.  ``run_experiment`` and ``compare_algorithms`` set
+up in one order: ``build_mixing``, ``build_problem``, ``resolve_alpha``
+(with its certificate), then ``reference_solution``; the first stage that
+fails decides the error.  The centralized reference solver is an
+accelerated full-gradient method with backtracking, replacing an external
+convex solver.
 """
 
 from __future__ import annotations
@@ -354,6 +357,11 @@ def parse_config(path) -> ExperimentConfig:
     cfg = ExperimentConfig(**values)
     if not 0 <= cfg.laziness < 1:
         raise ConfigError("topology needs 0 <= laziness < 1")
+    if cfg.p is not None and cfg.topology_kind != "random_gnp":
+        raise ConfigError(f"p does not apply to kind {cfg.topology_kind!r}")
+    if not cfg.prefix or cfg.prefix.endswith("/"):
+        raise ConfigError(
+            f"output needs a prefix that names a file, got {cfg.prefix!r}")
     if cfg.record_every is not None and cfg.record_every < 1:
         raise ConfigError("algorithm needs record_every >= 1")
     if cfg.alpha != "auto" and not 0 < cfg.alpha < math.inf:
@@ -421,17 +429,14 @@ def build_mixing(cfg: ExperimentConfig) -> graph.MixingMatrix:
 
 def resolve_alpha(cfg: ExperimentConfig, w: graph.MixingMatrix,
                   problem: ProblemInstance):
-    """Returns (alpha, certificate-or-None)."""
-    if cfg.alpha == "auto":
-        cert = engine.certificate_for_problem(w, problem)
-        if not cert.valid:
-            raise CertificationRefused(f"cannot auto-select alpha: {cert.reason}")
-        return cert.alpha, cert
-    alpha = float(cfg.alpha)
-    cert = None
-    if problem.mu > 0:
-        cert = engine.certificate_for_problem(w, problem, alpha=alpha)
-    return alpha, cert
+    """Returns (alpha, certificate): for ``alpha = auto`` the certificate
+    that chose it, for an explicit alpha None (nothing is decomposed)."""
+    if cfg.alpha != "auto":
+        return float(cfg.alpha), None
+    cert = engine.certificate_for_problem(w, problem)
+    if not cert.valid:
+        raise CertificationRefused(f"cannot auto-select alpha: {cert.reason}")
+    return cert.alpha, cert
 
 
 @dataclass
@@ -475,18 +480,23 @@ def _write_metadata(path: Path, cfg: ExperimentConfig, w: graph.MixingMatrix,
 def run_experiment(cfg: ExperimentConfig) -> ExperimentResult:
     """Execute one experiment; writes the trace CSV and metadata sidecar.
 
-    On divergence the partial trace is preserved with a ``.partial``
-    suffix and the error is re-raised.  A reference solve that fails
-    writes the metadata, no trace, and re-raises.
+    The directory of ``<dir>/<prefix>`` is made first (a config error if
+    it cannot be).  An explicit alpha is certified when mu > 0, still
+    before the reference.  On divergence the partial trace is preserved
+    with a ``.partial`` suffix and the error is re-raised.  A reference
+    solve that fails writes the metadata, no trace, and re-raises.
     """
-    out_dir = Path(cfg.output_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
+    trace_path = Path(cfg.output_dir) / f"{cfg.prefix}.csv"
+    meta_path = Path(cfg.output_dir) / f"{cfg.prefix}.meta.txt"
+    try:
+        trace_path.parent.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise ConfigError(f"cannot create the output directory: {exc}") from exc
     w = build_mixing(cfg)
     problem = build_problem(cfg)
     alpha, cert = resolve_alpha(cfg, w, problem)
-
-    trace_path = out_dir / f"{cfg.prefix}.csv"
-    meta_path = out_dir / f"{cfg.prefix}.meta.txt"
+    if cert is None and problem.mu > 0:
+        cert = engine.certificate_for_problem(w, problem, alpha=alpha)
     try:
         ref = reference_solution(problem, seed=cfg.problem_seed)
     except ReferenceFailure as exc:
@@ -499,8 +509,7 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentResult:
             cfg.algorithm, problem, w, alpha, cfg.rounds, seed=cfg.run_seed,
             record_every=cfg.record_every, reference=ref.x)
     except DivergenceError as exc:
-        partial = out_dir / f"{cfg.prefix}.csv.partial"
-        partial.write_text(exc.trace.to_csv())
+        Path(f"{trace_path}.partial").write_text(exc.trace.to_csv())
         _write_metadata(meta_path, cfg, w, alpha, cert, ref, problem,
                         extra=[f"aborted = {exc}"])
         raise
@@ -538,12 +547,11 @@ def compare_algorithms(cfg: ExperimentConfig, algorithms,
             raise ConfigError(f"unknown algorithm {name!r}")
     w = build_mixing(cfg)
     problem = build_problem(cfg)
+    alpha, _ = resolve_alpha(cfg, w, problem)
     ref = reference_solution(problem, seed=cfg.problem_seed)
-    alpha = cfg.alpha if cfg.alpha != "auto" else \
-        resolve_alpha(cfg, w, problem)[0]
     rows = []
     for name in algorithms:
-        trace, _ = engine.run(name, problem, w, float(alpha), cfg.rounds,
+        trace, _ = engine.run(name, problem, w, alpha, cfg.rounds,
                               seed=cfg.run_seed, record_every=1,
                               reference=ref.x)
         hit = next((i for i, r in enumerate(trace.residual_log10)

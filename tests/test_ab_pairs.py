@@ -62,3 +62,47 @@ def test_metrics_follow_the_benchmark():
     assert ab_pairs.METRICS == {"run_s": "lower", "setup_s": "lower",
                                 "step_us": "lower", "peak_rss_mb": "lower"}
     assert ab_pairs.SECONDS == 25
+
+
+@pytest.mark.parametrize("parent, change, better, expected", [
+    # a 30% worse median, past the 25% bound
+    ([100.0, 101.0, 99.0, 100.0], [130.0, 131.0, 129.0, 130.0], "lower", "worse"),
+    # 20% worse, a narrow parent spread: inside the bound
+    ([100.0, 101.0, 99.0, 100.0], [120.0, 121.0, 119.0, 120.0], "lower",
+     "within bound"),
+    # the parent's quartiles span more than the bound, and one change run
+    # (95) is worse than one parent run (70)
+    ([70.0, 130.0, 100.0, 60.0, 140.0, 100.0], [95.0, 90.0, 85.0, 80.0, 88.0,
+                                               92.0], "lower", "unresolved"),
+    # the same spread, but every change run beats every parent run
+    ([70.0, 130.0, 100.0, 60.0, 140.0, 100.0], [55.0, 50.0, 45.0, 40.0, 48.0,
+                                               52.0], "lower", "within bound"),
+    # a worse median past the bound wins over a wide spread
+    ([70.0, 130.0, 100.0, 60.0, 140.0, 100.0], [150.0] * 6, "lower", "worse"),
+    # higher is better: 30% fewer is worse, 30% more is within bound
+    ([100.0, 101.0, 99.0, 100.0], [70.0, 71.0, 69.0, 70.0], "higher", "worse"),
+    ([100.0, 101.0, 99.0, 100.0], [130.0, 131.0, 129.0, 130.0], "higher",
+     "within bound"),
+    # identical runs
+    ([5.0, 5.0, 5.0], [5.0, 5.0, 5.0], "lower", "within bound"),
+], ids=["worse", "within", "unresolved", "wide-but-all-better",
+        "worse-and-wide", "higher-worse", "higher-better", "equal"])
+def test_verdict(parent, change, better, expected):
+    assert ab_pairs.verdict(parent, change, better, 0.25) == expected
+    runs = runs_of(parent, change, "m")
+    s = ab_pairs.summarize(runs, {"m": better}, {"m": 0.25})["m"]
+    assert s["verdict"] == expected
+
+
+def test_verdict_uses_each_metrics_bound():
+    # 15% worse: inside run_s's 25% bound, past peak_rss_mb's 10% bound
+    parent, change = [100.0, 100.5, 99.5, 100.0], [115.0, 115.5, 114.5, 115.0]
+    runs = [{**r, "run_s": r["m"], "peak_rss_mb": r["m"]}
+            for r in runs_of(parent, change, "m")]
+    s = ab_pairs.summarize(runs, {"run_s": "lower", "peak_rss_mb": "lower",
+                                  "m": "lower"})
+    assert s["run_s"]["verdict"] == "within bound"
+    assert s["peak_rss_mb"]["verdict"] == "worse"
+    assert "verdict" not in s["m"]      # no bound, no verdict
+    assert ab_pairs.BOUNDS == {"run_s": 0.25, "setup_s": 0.25,
+                               "step_us": 0.25, "peak_rss_mb": 0.1}

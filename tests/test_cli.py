@@ -3,7 +3,7 @@ import sys
 
 import pytest
 
-from sdiging import cli, graph, harness, objectives
+from sdiging import cli, engine, graph, harness, objectives
 from sdiging.errors import ReferenceFailure
 
 QUAD_CONFIG = """\
@@ -483,3 +483,97 @@ def test_console_script_entry_point(tmp_path):
         capture_output=True, text=True)
     assert proc.returncode == 0
     assert "valid = True" in proc.stdout
+
+
+def test_prefix_in_a_new_subdirectory_is_made(tmp_path):
+    text = QUAD_CONFIG.replace("prefix = t", "prefix = sub/t")
+    assert cli.main(["run", write(tmp_path, text, alpha="0.01", rounds=20)]) == 0
+    assert (tmp_path / "sub" / "t.csv").is_file()
+    assert (tmp_path / "sub" / "t.meta.txt").is_file()
+
+
+@pytest.mark.parametrize("old, new, error", [
+    ("dir = {out}", "dir = {out}/taken",
+     "config_error: cannot create the output directory: [Errno 17] File exists"),
+    ("prefix = t", "prefix =",
+     "config_error: output needs a prefix that names a file, got ''"),
+    ("prefix = t", "prefix = sub/",
+     "config_error: output needs a prefix that names a file, got 'sub/'"),
+], ids=["dir-is-a-file", "empty-prefix", "directory-prefix"])
+def test_unwritable_output_fails_before_set_up(tmp_path, capsys, monkeypatch,
+                                               old, new, error):
+    def build(*args, **kwargs):
+        raise AssertionError("mixing built")
+
+    monkeypatch.setattr(harness, "build_mixing", build)
+    (tmp_path / "taken").write_text("")
+    text = QUAD_CONFIG.replace(old, new)
+    rc = cli.main(["run", write(tmp_path, text, alpha="0.01", rounds=20)])
+    assert rc == cli.EXIT_CONFIG
+    assert capsys.readouterr().err.startswith(error)
+    assert not any(tmp_path.rglob(".*"))
+
+
+@pytest.mark.parametrize("kind", ["ring", "complete"])
+def test_p_applies_only_to_random_gnp(tmp_path, capsys, kind):
+    text = QUAD_CONFIG.replace("kind = ring\nm = 4\n",
+                               f"kind = {kind}\nm = 4\np = 0.3\n")
+    rc = cli.main(["run", write(tmp_path, text, alpha="0.01", rounds=20)])
+    assert rc == cli.EXIT_CONFIG
+    assert f"config_error: p does not apply to kind {kind!r}" in \
+        capsys.readouterr().err
+    assert not any(tmp_path.glob("t.*"))
+
+
+# The set-up stages, through the names perfbench/layers.py wraps.
+STAGES = ((harness, "build_mixing"), (harness, "build_problem"),
+          (engine, "certificate_for_problem"), (harness, "reference_solution"))
+MIX, PROBLEM, CERT, REF = (name for _, name in STAGES)
+
+
+@pytest.fixture
+def stages(monkeypatch):
+    """The set-up stages a command calls, in call order."""
+    calls = []
+    for module, name in STAGES:
+        def called(*args, _f=getattr(module, name), _name=name, **kwargs):
+            calls.append(_name)
+            return _f(*args, **kwargs)
+        monkeypatch.setattr(module, name, called)
+    return calls
+
+
+@pytest.mark.parametrize("command, alpha, expected", [
+    ("run", "0.01", [MIX, PROBLEM, CERT, REF]),
+    ("run", "auto", [MIX, PROBLEM, CERT, REF]),
+    ("compare", "auto", [MIX, PROBLEM, CERT, REF]),
+    ("compare", "0.01", [MIX, PROBLEM, REF]),
+    ("certify", "auto", [MIX, PROBLEM, CERT]),
+])
+def test_commands_set_up_in_one_order(tmp_path, stages, command, alpha,
+                                      expected):
+    argv = [command, quad_config(tmp_path, alpha=alpha, rounds=20)]
+    if command == "compare":
+        argv += ["--algos", "sdiging", "--target", "-3"]
+    assert cli.main(argv) == cli.EXIT_OK
+    assert stages == expected
+
+
+@pytest.mark.parametrize("command", ["run", "compare"])
+def test_refused_auto_alpha_wins_over_a_failing_reference(
+        tmp_path, capsys, monkeypatch, stages, command):
+    # mu = 0 refuses the certificate before any reference is solved, so a
+    # reference that would fail never runs and both commands exit 5
+    def fail(*args, **kwargs):
+        stages.append(REF)
+        raise ReferenceFailure("no 1e-10-stationary point within 7 oracle calls")
+
+    monkeypatch.setattr(harness, "reference_solution", fail)
+    argv = [command, write(tmp_path, LOCALIZATION_CONFIG.replace(
+        "alpha = 0.1", "alpha = auto"))]
+    if command == "compare":
+        argv += ["--algos", "sdiging", "--target", "-3"]
+    assert cli.main(argv) == cli.EXIT_CERTIFICATE
+    assert "certification_refused: objective is not strongly convex" in \
+        capsys.readouterr().err
+    assert stages == [MIX, PROBLEM, CERT]

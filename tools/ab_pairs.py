@@ -17,7 +17,8 @@ once in each tree, T being ``run_seconds`` of BENCHMARK.json, odd pairs
 parent first and even pairs change first, with one BLAS thread.
 ``ROOT/BENCH_<pr>.json`` gets every run, the CPU and thread settings, and
 per workload, seed and metric, each side's median and quartiles, the pairs
-the change won, and the median gap over the parent's quartile spread.
+the change won, the median gap over the parent's quartile spread, and the
+no-regression verdict against the metric's ``bound`` in BENCHMARK.json.
 """
 
 from __future__ import annotations
@@ -39,6 +40,7 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 _BENCHMARK = json.loads((ROOT / "BENCHMARK.json").read_text())
 METRICS = {m["name"]: m["better"] for m in _BENCHMARK["end_to_end"]}
+BOUNDS = {m["name"]: m["bound"] for m in _BENCHMARK["end_to_end"]}
 SECONDS = _BENCHMARK["run_seconds"]
 # Set for every perfbench process, so that the driver and the operations it
 # starts use one BLAS thread whatever the calling shell holds.
@@ -54,11 +56,30 @@ def quartiles(values: list) -> dict:
     return {"median": med, "q1": q1, "q3": q3}
 
 
-def summarize(runs: list, metrics: dict = METRICS) -> dict:
+def verdict(parent: list, change: list, better: str, bound: float) -> str:
+    """The no-regression reading of one metric's paired runs, ``bound``
+    being a fraction of the parent's median: "worse" when the change's
+    median is worse than the parent's by more than the bound, "unresolved"
+    when the parent's quartile spread is wider than the bound and not every
+    change run beats every parent run, and "within bound" otherwise."""
+    sign = 1.0 if better == "lower" else -1.0
+    p, c = quartiles(parent), quartiles(change)
+    margin = bound * abs(p["median"])
+    if sign * (c["median"] - p["median"]) > margin:
+        return "worse"
+    beats_all = max(sign * v for v in change) < min(sign * v for v in parent)
+    if p["q3"] - p["q1"] > margin and not beats_all:
+        return "unresolved"
+    return "within bound"
+
+
+def summarize(runs: list, metrics: dict = METRICS,
+              bounds: dict = BOUNDS) -> dict:
     """Per metric: each side's quartiles, the pairs the change won (ties
-    count for neither side), the median change in percent and the median
+    count for neither side), the median change in percent, the median
     gap in the better direction over the parent's quartile spread (inf
-    when the spread is 0 and the medians differ).
+    when the spread is 0 and the medians differ) and, for a metric in
+    ``bounds``, its ``verdict``.
 
     ``runs`` holds one dict per run with ``pair``, ``side`` ("parent" or
     "change") and a value per metric; ``metrics`` maps each metric to
@@ -74,8 +95,8 @@ def summarize(runs: list, metrics: dict = METRICS) -> dict:
             continue
         sign = 1.0 if better == "lower" else -1.0
         won = sum(sign * (side["parent"][p] - side["change"][p]) > 0 for p in both)
-        parent = quartiles([side["parent"][p] for p in both])
-        change = quartiles([side["change"][p] for p in both])
+        values = {s: [side[s][p] for p in both] for s in side}
+        parent, change = quartiles(values["parent"]), quartiles(values["change"])
         gap = sign * (parent["median"] - change["median"])
         spread = parent["q3"] - parent["q1"]
         out[name] = {
@@ -86,6 +107,9 @@ def summarize(runs: list, metrics: dict = METRICS) -> dict:
             "median_gap_over_parent_iqr": gap / spread if spread
             else math.copysign(math.inf, gap) if gap else 0.0,
         }
+        if name in bounds:
+            out[name]["verdict"] = verdict(values["parent"], values["change"],
+                                           better, bounds[name])
     return out
 
 
