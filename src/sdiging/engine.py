@@ -3,9 +3,10 @@
 Three interchangeable update rules operate on stacked per-agent iterates
 (one row per agent): deterministic gradient tracking, its stochastic
 variant driven by per-agent gradient tables, and the equivalent
-primal-dual iteration used for cross-checking.  Certification
-(``certificate_for_problem``, its one entry point) evaluates the explicit
-parameter intervals and the rate constant for strongly convex problems.
+primal-dual iteration used for cross-checking.  Certification is one
+function, ``certificate_for_problem``: it pins the theory's free
+parameters and evaluates the explicit parameter intervals and the rate
+constant for strongly convex problems.
 """
 
 from __future__ import annotations
@@ -164,18 +165,6 @@ class RateCertificate:
                        for f in fields(self))
 
 
-def step_size_interval(w: MixingMatrix, mu: float, lip: float,
-                       phi: float, eta: float) -> float:
-    """Right endpoint of the admissible step-size interval (0, alpha_max)."""
-    if mu <= 0:
-        raise CertificationRefused("objective is not strongly convex (mu <= 0)")
-    if not (0.0 < phi < 2.0 * mu):
-        raise InvalidArgumentError(f"phi must lie in (0, {2 * mu}), got {phi}")
-    if eta <= 0:
-        raise InvalidArgumentError(f"eta must be positive, got {eta}")
-    return w.rho_min ** 2 / (eta + lip ** 2 / phi)
-
-
 def certificate_for_problem(w: MixingMatrix, problem: ProblemInstance,
                             alpha: float | None = None) -> RateCertificate:
     """Evaluate the admissible parameter intervals and the rate constant
@@ -198,7 +187,7 @@ def certificate_for_problem(w: MixingMatrix, problem: ProblemInstance,
     eta_lo = (2.0 * (lip / q_min) * q_max * lip + (2.0 * lip - mu) * lip) \
         / (gamma * (2.0 * mu - phi))
     eta = 1.05 * eta_lo
-    alpha_max = step_size_interval(w, mu, lip, phi, eta)
+    alpha_max = w.rho_min ** 2 / (eta + lip ** 2 / phi)
     if alpha is None:
         alpha = 0.5 * alpha_max
 

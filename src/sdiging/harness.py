@@ -228,22 +228,16 @@ def _lloyd_reference(problem: ProblemInstance, seed: int = 0) -> ReferenceSoluti
 
 
 def reference_solution(problem: ProblemInstance, seed: int = 0,
-                       tol: float = REFERENCE_TOL,
                        max_oracle: int = REFERENCE_MAX_ORACLE) -> ReferenceSolution:
-    """Centralized optimum of the aggregate objective, cached per instance
-    and per (seed, tol, max_oracle)."""
-    cache = vars(problem).setdefault("_references", {})
-    key = (seed, tol, max_oracle)
-    if key in cache:
-        return cache[key]
+    """Centralized optimum of the aggregate objective, solved afresh on
+    every call: Lloyd restarts seeded by ``seed`` for k-means, otherwise a
+    REFERENCE_TOL-stationary point within ``max_oracle`` oracle calls."""
     if problem.kind is KMeansPoint:
-        sol = _lloyd_reference(problem, seed=seed)
-    else:
-        x0 = problem.known_optimum.copy() if problem.known_optimum is not None \
-            else np.zeros(problem.dim)
-        sol = _accelerated_descent(problem, x0, tol=tol, max_oracle=max_oracle)
-    cache[key] = sol
-    return sol
+        return _lloyd_reference(problem, seed=seed)
+    x0 = problem.known_optimum.copy() if problem.known_optimum is not None \
+        else np.zeros(problem.dim)
+    return _accelerated_descent(problem, x0, tol=REFERENCE_TOL,
+                                max_oracle=max_oracle)
 
 
 # ---------------------------------------------------------------------------
@@ -315,8 +309,8 @@ def parse_config(path) -> ExperimentConfig:
         raise ConfigError(f"config file not found: {path}")
     cp = configparser.ConfigParser(interpolation=None)   # '%' is literal
     try:
-        cp.read(path)
-    except configparser.Error as exc:
+        cp.read(path, encoding="utf-8")
+    except (configparser.Error, UnicodeDecodeError) as exc:
         raise ConfigError(f"malformed config: {exc}") from exc
 
     for section in cp.sections():
@@ -540,11 +534,14 @@ class CompareRow:
 
 def compare_algorithms(cfg: ExperimentConfig, algorithms,
                        target: float) -> list[CompareRow]:
-    """Run each algorithm on one shared instance; report cost to a residual,
-    recorded every round."""
+    """Run each algorithm on one shared instance; report cost to a residual
+    ``target`` (log10; inf is reached at round 0, -inf never), recorded
+    every round."""
     for name in algorithms:
         if name not in engine.ALGORITHMS:
             raise ConfigError(f"unknown algorithm {name!r}")
+    if math.isnan(target):
+        raise ConfigError("compare needs a target that is not nan")
     w = build_mixing(cfg)
     problem = build_problem(cfg)
     alpha, _ = resolve_alpha(cfg, w, problem)

@@ -27,7 +27,6 @@ q = 1 reads no words.
 from __future__ import annotations
 
 import numpy as np
-from numpy.random.bit_generator import ISeedSequence
 
 from sdiging.errors import InvalidArgumentError
 
@@ -38,21 +37,6 @@ _DUMP_HEADER = "sdiging-table-v1"
 # stream and no checkpoint; it only sets how often the per-agent raw reads
 # run (once per BLOCK rounds).
 BLOCK = 64
-
-
-class _Key(ISeedSequence):
-    """Hands Philox its 128-bit key as given.
-
-    ``Philox(key=...)`` gives the same stream but first builds, and then
-    discards, an OS-entropy ``SeedSequence``, which costs more than the bit
-    generator itself.
-    """
-
-    def __init__(self, key: np.ndarray):
-        self._key = key
-
-    def generate_state(self, n_words, dtype=np.uint32):
-        return self._key
 
 
 class IndexStreams:
@@ -78,7 +62,7 @@ class IndexStreams:
         self._numpy: dict[int, np.random.Generator] = {}
         self._block = None
         # Python-int key and counter per row (arrays set slower); empty buffer
-        self._philox = np.random.Philox(_Key(np.zeros(2, dtype=np.uint64)))
+        self._philox = np.random.Philox(key=0)
         self._state = dict(self._philox.state, buffer=(0, 0, 0, 0))
 
     def draw(self) -> np.ndarray:
@@ -121,8 +105,9 @@ class IndexStreams:
         block = block.view(np.int64)
         block += 1
         for r in self._live.keys() & set(dropped.tolist()):
-            key = _Key(np.array([seed, self._live.pop(r)], dtype=np.uint64))
-            self._numpy[r] = np.random.Generator(np.random.Philox(key).advance(start))
+            key = np.array([seed, self._live.pop(r)], dtype=np.uint64)
+            self._numpy[r] = np.random.Generator(
+                np.random.Philox(key=key).advance(start))
         for r, g in self._numpy.items():
             block[:, r] = g.integers(1, int(self._q[r]) + 1, size=BLOCK)
         block.flags.writeable = False

@@ -1,6 +1,11 @@
 import importlib.util
 import math
+import os
+import signal
 import statistics
+import subprocess
+import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -106,3 +111,96 @@ def test_verdict_uses_each_metrics_bound():
     assert "verdict" not in s["m"]      # no bound, no verdict
     assert ab_pairs.BOUNDS == {"run_s": 0.25, "setup_s": 0.25,
                                "step_us": 0.25, "peak_rss_mb": 0.1}
+
+
+def test_failed_share_per_side():
+    runs = [{"pair": 1, "side": "parent", "attempted": 20, "failed": 0},
+            {"pair": 1, "side": "change", "attempted": 18, "failed": 1},
+            {"pair": 2, "side": "change", "attempted": 22, "failed": 1},
+            {"pair": 2, "side": "parent", "attempted": 20, "failed": 2}]
+    assert ab_pairs.failed_share(runs) == {
+        "parent": 2 / 40, "change": 2 / 40, "verdict": "within bound"}
+    runs[0]["failed"] = 1
+    assert ab_pairs.failed_share(runs)["verdict"] == "within bound"
+    runs[3]["failed"] = 0
+    share = ab_pairs.failed_share(runs)
+    assert share["parent"] == 1 / 40 and share["change"] == 2 / 40
+    assert share["verdict"] == "worse"
+    none = [{"pair": 1, "side": s, "attempted": 0, "failed": 0}
+            for s in ("parent", "change")]
+    assert ab_pairs.failed_share(none)["verdict"] == "within bound"
+
+
+# A perfbench run replaced by a sleeping child that starts a sleeping
+# grandchild, as a run starts its operations, and writes both pids.
+SLEEPER = """\
+import os, subprocess, sys, time
+grandchild = subprocess.Popen([sys.executable, "-c", "import time; time.sleep(60)"])
+with open(sys.argv[1] + ".part", "w") as f:
+    f.write(f"{os.getpid()} {grandchild.pid}")
+os.replace(sys.argv[1] + ".part", sys.argv[1])
+time.sleep(60)
+"""
+
+# tools/ab_pairs.py's main with git, the export and the benchmark stubbed
+# out: argv is the tool, the sleeper, its pid file and a root to write in.
+DRIVER = """\
+import importlib.util, sys
+from pathlib import Path
+spec = importlib.util.spec_from_file_location("ab_pairs", sys.argv[1])
+ab = importlib.util.module_from_spec(spec)
+spec.loader.exec_module(ab)
+ab.ROOT = Path(sys.argv[4])
+ab.git = lambda *args: ""
+ab.export = lambda rev, dest: dest.mkdir(parents=True) or rev
+ab.src_lines = lambda tree: 0
+ab.bench = lambda tree, workload, seed: ab.run_group(
+    [sys.executable, sys.argv[2], sys.argv[3]], tree)
+sys.exit(ab.main(["--parent", "HEAD", "--pr", "x", "--runs", "w:0:1"]))
+"""
+
+
+def alive(pid: int) -> bool:
+    """Whether ``pid`` runs; a zombie, killed but not reaped, does not."""
+    try:
+        os.kill(pid, 0)
+    except ProcessLookupError:
+        return False
+    stat = Path(f"/proc/{pid}/stat")
+    return not (stat.exists() and stat.read_text().rsplit(")", 1)[1].split()[0] == "Z")
+
+
+def wait_until(condition, seconds=30.0):
+    deadline = time.monotonic() + seconds
+    while not condition():
+        assert time.monotonic() < deadline, "timed out"
+        time.sleep(0.05)
+
+
+def test_sigterm_stops_the_run_and_removes_the_trees(tmp_path):
+    tmp, root, pid_file = tmp_path / "tmp", tmp_path / "root", tmp_path / "pids"
+    tmp.mkdir()
+    root.mkdir()
+    (tmp_path / "sleeper.py").write_text(SLEEPER)
+    (tmp_path / "driver.py").write_text(DRIVER)
+    driver = subprocess.Popen(
+        [sys.executable, str(tmp_path / "driver.py"), str(_PATH),
+         str(tmp_path / "sleeper.py"), str(pid_file), str(root)],
+        env={**os.environ, "TMPDIR": str(tmp)})
+    pids = []
+    try:
+        wait_until(lambda: pid_file.exists() or driver.poll() is not None)
+        assert driver.poll() is None
+        pids = [int(p) for p in pid_file.read_text().split()]
+        [trees] = tmp.iterdir()
+        assert sorted(p.name for p in trees.iterdir()) == ["change", "parent"]
+        driver.send_signal(signal.SIGTERM)
+        assert driver.wait(timeout=30) == 128 + signal.SIGTERM
+        assert list(tmp.iterdir()) == []
+        assert list(root.iterdir()) == []
+        wait_until(lambda: not any(alive(p) for p in pids))
+    finally:
+        driver.kill()
+        for pid in pids:
+            if alive(pid):
+                os.kill(pid, signal.SIGKILL)

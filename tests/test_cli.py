@@ -94,6 +94,18 @@ def test_missing_config_file(tmp_path, capsys):
     assert "config_error:" in capsys.readouterr().err
 
 
+def test_config_that_is_not_utf8_is_a_config_error(tmp_path, capsys):
+    path = tmp_path / "exp.ini"
+    path.write_bytes(b"# caf\xff\n"
+                     + QUAD_CONFIG.format(out=tmp_path, alpha="0.01",
+                                          rounds=10).encode())
+    rc = cli.main(["run", str(path)])
+    assert rc == cli.EXIT_CONFIG
+    assert "config_error: malformed config: 'utf-8' codec can't decode" in \
+        capsys.readouterr().err
+    assert not any(tmp_path.glob("t.*"))
+
+
 def test_divergence_preserves_partial(tmp_path, capsys):
     rc = cli.main(["run", quad_config(tmp_path, alpha="50.0", rounds=100000)])
     assert rc == cli.EXIT_DIVERGENCE
@@ -557,6 +569,26 @@ def test_commands_set_up_in_one_order(tmp_path, stages, command, alpha,
         argv += ["--algos", "sdiging", "--target", "-3"]
     assert cli.main(argv) == cli.EXIT_OK
     assert stages == expected
+
+
+def test_compare_rejects_a_nan_target_before_set_up(tmp_path, capsys,
+                                                   stages):
+    rc = cli.main(["compare", quad_config(tmp_path), "--algos", "sdiging",
+                   "--target", "nan"])
+    assert rc == cli.EXIT_CONFIG
+    assert "config_error:" in capsys.readouterr().err
+    assert stages == []
+
+
+@pytest.mark.parametrize("target, rounds", [("inf", "0"), ("-inf", "not")])
+def test_compare_infinite_targets(tmp_path, capsys, target, rounds):
+    # every residual is <= inf, so round 0 reaches it; none is <= -inf
+    rc = cli.main(["compare", quad_config(tmp_path, rounds=5), "--algos",
+                   "diging,sdiging", f"--target={target}"])
+    assert rc == cli.EXIT_OK
+    rows = capsys.readouterr().out.splitlines()[1:]
+    assert [ln.split()[:2] for ln in rows] == [["diging", rounds],
+                                               ["sdiging", rounds]]
 
 
 @pytest.mark.parametrize("command", ["run", "compare"])

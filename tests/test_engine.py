@@ -1,5 +1,4 @@
 import math
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -144,24 +143,6 @@ def test_step_rejects_unknown_rule():
 # ---------------------------------------------------------------------------
 # certification
 # ---------------------------------------------------------------------------
-
-def test_step_size_interval_frozen_values():
-    w = SimpleNamespace(rho_min=0.5)
-    a1 = engine.step_size_interval(w, mu=1.0, lip=1.0, phi=1.0, eta=10.0)
-    assert a1 == pytest.approx(0.25 / 11.0, rel=1e-12)
-    a2 = engine.step_size_interval(w, mu=1.0, lip=2.0, phi=1.0, eta=10.0)
-    assert a2 == pytest.approx(0.25 / 14.0, rel=1e-12)
-
-
-def test_step_size_interval_gates():
-    w = SimpleNamespace(rho_min=0.5)
-    with pytest.raises(CertificationRefused):
-        engine.step_size_interval(w, mu=0.0, lip=1.0, phi=0.5, eta=1.0)
-    with pytest.raises(InvalidArgumentError):
-        engine.step_size_interval(w, mu=1.0, lip=1.0, phi=2.5, eta=1.0)
-    with pytest.raises(InvalidArgumentError):
-        engine.step_size_interval(w, mu=1.0, lip=1.0, phi=1.0, eta=0.0)
-
 
 def test_certificate_text_on_demo_instance_is_pinned():
     # demos/04_rate_certificate.py's instance; phi = mu, gamma = 0.5, d = e = 2

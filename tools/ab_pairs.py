@@ -18,18 +18,24 @@ parent first and even pairs change first, with one BLAS thread.
 ``ROOT/BENCH_<pr>.json`` gets every run, the CPU and thread settings, and
 per workload, seed and metric, each side's median and quartiles, the pairs
 the change won, the median gap over the parent's quartile spread, and the
-no-regression verdict against the metric's ``bound`` in BENCHMARK.json.
+no-regression verdict against the metric's ``bound`` in BENCHMARK.json;
+per workload and seed, each side's share of failed operations.
+
+SIGTERM or Ctrl-C stops the perfbench run in progress, with the operations
+it started (each run has its own session), and removes both trees.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import importlib.metadata
 import io
 import json
 import math
 import os
 import platform
+import signal
 import statistics
 import subprocess
 import sys
@@ -113,6 +119,21 @@ def summarize(runs: list, metrics: dict = METRICS,
     return out
 
 
+def failed_share(runs: list) -> dict:
+    """Each side's failed operations over its attempted ones, summed over
+    its runs, and the verdict: "worse" when the change's share is larger,
+    which the no-regression check refuses, "within bound" otherwise."""
+    share = {}
+    for s in ("parent", "change"):
+        mine = [r for r in runs if r["side"] == s]
+        attempted = sum(r["attempted"] for r in mine)
+        share[s] = sum(r["failed"] for r in mine) / attempted if attempted \
+            else 0.0
+    share["verdict"] = "worse" if share["change"] > share["parent"] \
+        else "within bound"
+    return share
+
+
 def git(*args: str) -> str:
     return subprocess.run(["git", *args], cwd=ROOT, check=True,
                           capture_output=True, text=True).stdout.strip()
@@ -128,12 +149,28 @@ def export(rev: str, dest: Path) -> str:
     return sha
 
 
+def run_group(cmd: list, cwd: Path) -> subprocess.CompletedProcess:
+    """``cmd`` run to its end in a session of its own, with one BLAS
+    thread; should this process be stopped meanwhile, the session's
+    process group, ``cmd`` and every process it started, is killed."""
+    proc = subprocess.Popen(cmd, cwd=cwd, env={**os.environ, **BLAS_ENV},
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+                            text=True, start_new_session=True)
+    try:
+        out, err = proc.communicate()
+    except BaseException:
+        with contextlib.suppress(ProcessLookupError):    # none left
+            os.killpg(proc.pid, signal.SIGKILL)
+        proc.wait()
+        raise
+    return subprocess.CompletedProcess(cmd, proc.returncode, out, err)
+
+
 def bench(tree: Path, workload: str, seed: int) -> dict:
     """One untraced perfbench run in ``tree``: its metrics and run counts."""
-    proc = subprocess.run(
+    proc = run_group(
         [sys.executable, "perfbench/run.py", "--workload", workload,
-         "--seed", str(seed), "--seconds", str(SECONDS), "--trace", "0"],
-        cwd=tree, capture_output=True, text=True, env={**os.environ, **BLAS_ENV})
+         "--seed", str(seed), "--seconds", str(SECONDS), "--trace", "0"], tree)
     lines = proc.stdout.strip().splitlines()
     if proc.returncode != 0 or not lines:
         raise RuntimeError(f"perfbench failed in {tree}: {proc.stderr[-2000:]}")
@@ -155,6 +192,10 @@ def cpu_model() -> str:
                  if line.startswith("model name")), platform.processor())
 
 
+def _exit_on_sigterm(signum, frame):
+    raise SystemExit(128 + signum)     # unwinds, so the trees are removed
+
+
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--parent", required=True, help="git revision to compare")
@@ -169,6 +210,7 @@ def main(argv=None) -> int:
         workload, seed, n = entry.split(":")
         plan.append((workload, int(seed), int(n)))
     out = ROOT / f"BENCH_{args.pr}.json"
+    signal.signal(signal.SIGTERM, _exit_on_sigterm)
     with tempfile.TemporaryDirectory(prefix="ab_") as tmp:
         trees = {side: Path(tmp) / side for side in ("parent", "change")}
         commits = {"parent": export(args.parent, trees["parent"]),
@@ -200,7 +242,8 @@ def main(argv=None) -> int:
                     runs.append({"pair": pair, "side": side,
                                  **bench(trees[side], workload, seed)})
                     print(key, json.dumps(runs[-1]), flush=True)
-                record["summary"][key] = summarize(runs)
+                record["summary"][key] = {**summarize(runs),
+                                          "failed_share": failed_share(runs)}
                 out.write_text(json.dumps(record, indent=1) + "\n")
     print(f"wrote {out}")
     return 0
