@@ -57,9 +57,10 @@ def make_tables(problem: ProblemInstance, seed: int) -> GradientTables:
     """One gradient table per agent, every slot evaluated at x = 0 by one
     stacked gradient over all components, streams keyed by (seed, agent
     index)."""
-    st = problem.stacked
-    fresh = st.grad(st.params, np.zeros((len(st.params[0]), problem.dim)))
-    return GradientTables(per_agent(fresh, st), problem.q, seed, range(problem.m))
+    fresh = problem.kind.stacked_gradient(
+        problem.params, np.zeros((len(problem.params[0]), problem.dim)))
+    return GradientTables(per_agent(fresh, problem), problem.q, seed,
+                          range(problem.m))
 
 
 def _check_rule(rule: str):
@@ -187,7 +188,7 @@ def certificate_for_problem(w: MixingMatrix, problem: ProblemInstance,
     eta_lo = (2.0 * (lip / q_min) * q_max * lip + (2.0 * lip - mu) * lip) \
         / (gamma * (2.0 * mu - phi))
     eta = 1.05 * eta_lo
-    alpha_max = w.rho_min ** 2 / (eta + lip ** 2 / phi)
+    alpha_max = w.rho_min ** 2 / (eta + lip * lip / phi)
     if alpha is None:
         alpha = 0.5 * alpha_max
 
@@ -214,7 +215,7 @@ def certificate_for_problem(w: MixingMatrix, problem: ProblemInstance,
         + alpha * (2.0 * mu - phi)
     ww1_max = float(np.max(eig * (eig - 1.0)))
 
-    t1 = (w.rho_min ** 2 - alpha * (eta + lip ** 2 / phi)) \
+    t1 = (w.rho_min ** 2 - alpha * (eta + lip * lip / phi)) \
         / ((1.0 / rho2_l2) * (d / (d - 1.0)) * e)
     t2 = ((1.0 - gamma) * alpha * (2.0 * mu - phi)) \
         / (1.0 + gamma * rho_max_q + (4.0 / rho2_l2) * d * ww1_max ** 2)

@@ -196,7 +196,7 @@ def _accelerated_descent(problem: ProblemInstance, x0: np.ndarray,
 
 def _lloyd_reference(problem: ProblemInstance, seed: int = 0) -> ReferenceSolution:
     """Best-of-10-restart center refinement; explicitly non-certified."""
-    pts = problem.stacked.params[0]
+    pts = problem.params[0]
     n = pts.shape[1]
     k = problem.dim // n
     rng = np.random.default_rng([seed & 0xFFFFFFFFFFFFFFFF, 0x11D])

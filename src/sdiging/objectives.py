@@ -1,21 +1,21 @@
 """Component-function families and the problem instances built from them.
 
 A local objective is the average of ``q`` component functions.  A problem
-holds the parameters of all its components as arrays stacked agent-major,
-one row per component, and each component class evaluates many rows at
-once: ``stacked_gradient`` and ``stacked_value`` give row k's gradient and
-value at point row k, and ``constants`` the dimension, the strong-convexity
-modulus ``mu`` and the gradient-Lipschitz constant ``lip`` of a stack.  The
-synchronous round reads one drawn row per agent; the reference solver reads
-every agent's local average at one point (``local_gradients_at`` and
-``local_values_at``).  The logistic class has its own per-agent averages
-and no ``stacked_value``; its stacked parameters hold each sample's
-``q*l*c`` next to ``l*c``, formed once, so the round does not form it again.
+holds the parameters of all its components as arrays ``params`` stacked
+agent-major, one row per component, agent i's rows from ``offsets[i]`` on
+(``per_agent`` gives them as one block per agent).  Each component class
+evaluates many rows at once: ``stacked_gradient`` and ``stacked_value``
+give row k's gradient and value at point row k, and ``constants`` the
+dimension, the strong-convexity modulus ``mu`` and the gradient-Lipschitz
+constant ``lip`` of a stack.  The synchronous round reads one drawn row
+per agent; the reference solver reads every agent's local average at one
+point (``local_gradients_at`` and ``local_values_at``).  The logistic class
+has its own per-agent averages and no ``stacked_value``; its stacked
+parameters hold each sample's ``q*l*c`` next to ``l*c``, formed once, so
+the round does not form it again.
 """
 
 from __future__ import annotations
-
-from typing import Callable, NamedTuple
 
 import numpy as np
 from scipy.special import expit
@@ -33,28 +33,27 @@ def _row_dots(d):
     return (d[:, None, :] @ d[:, :, None])[:, 0, 0]
 
 
-def per_agent(rows, st: StackedParams):
+def per_agent(rows, problem: ProblemInstance):
     """The stacked rows as m x q_max blocks, agent i's rows in block i:
     with equal q a reshape of ``rows`` itself, otherwise a copy with every
     agent padded by zero rows after its last component."""
-    m, q = len(st.q), st.q
-    if st.split is None:
-        return rows.reshape(m, -1, *rows.shape[1:])
-    per = np.zeros((m, q.max(), *rows.shape[1:]))
-    per[np.arange(q.max()) < q[:, None]] = rows
+    if problem.q_min == problem.q_max:
+        return rows.reshape(problem.m, -1, *rows.shape[1:])
+    per = np.zeros((problem.m, problem.q_max, *rows.shape[1:]))
+    per[np.arange(problem.q_max) < problem.q[:, None]] = rows
     return per
 
 
-def _running_sums(rows, st: StackedParams):
+def _running_sums(rows, problem: ProblemInstance):
     """Row i: agent i's rows added one at a time in component order, as a
     loop over the components adds them (reduce and reduceat sum in another
     order).  Uneven agents are padded with zero rows; adding 0.0 is exact."""
-    return np.add.accumulate(per_agent(rows, st), axis=1)[:, -1]
+    return np.add.accumulate(per_agent(rows, problem), axis=1)[:, -1]
 
 
-def _on_every_row(st: StackedParams, x):
+def _on_every_row(problem: ProblemInstance, x):
     """The single point x as the point of every row, without a copy."""
-    return np.broadcast_to(x, (len(st.params[0]), len(x)))
+    return np.broadcast_to(x, (len(problem.params[0]), len(x)))
 
 
 class _Component:
@@ -62,16 +61,16 @@ class _Component:
     stacked oracle at x on every row."""
 
     @classmethod
-    def local_gradients_at(cls, st: StackedParams, x):
+    def local_gradients_at(cls, problem: ProblemInstance, x):
         """Row i: agent i's full local gradient at x."""
-        g = cls.stacked_gradient(st.params, _on_every_row(st, x))
-        return _running_sums(g, st) / st.q[:, None]
+        g = cls.stacked_gradient(problem.params, _on_every_row(problem, x))
+        return _running_sums(g, problem) / problem.q[:, None]
 
     @classmethod
-    def local_values_at(cls, st: StackedParams, x):
+    def local_values_at(cls, problem: ProblemInstance, x):
         """Entry i: agent i's local objective value at x."""
-        v = cls.stacked_value(st.params, _on_every_row(st, x))
-        return _running_sums(v, st) / st.q
+        v = cls.stacked_value(problem.params, _on_every_row(problem, x))
+        return _running_sums(v, problem) / problem.q
 
 
 class Quadratic(_Component):
@@ -123,31 +122,24 @@ class LogisticSample(_Component):
         return lam_m * x - expit(z)[:, None] * qlc
 
     # The two per-agent averages: lam_m*x - sum_h sigmoid(-lc_h.x)*lc_h and
-    # 0.5*lam_m*|x|^2 + sum_h log(1 + exp(-lc_h.x)).  ``split`` is None
-    # when every agent has the same q, and the sums are then a batched
-    # matmul and a row sum, which round as one agent's do; uneven q sums
-    # with reduceat at ``split``.
+    # 0.5*lam_m*|x|^2 + sum_h log(1 + exp(-lc_h.x)), each agent's sum over
+    # its ``per_agent`` block: with equal q a batched matmul and a row sum,
+    # which round as one agent's do.
 
     @staticmethod
-    def local_gradients_at(st: StackedParams, x):
-        lam_m, lc, _ = st.params
-        s, m = expit(-(lc @ x)), len(st.q)
-        if st.split is None:
-            tilt = (s.reshape(m, 1, -1) @ lc.reshape(m, -1, lc.shape[1]))[:, 0]
-        else:
-            tilt = np.add.reduceat(s[:, None] * lc, st.split, axis=0)
-        return lam_m[st.offsets] * x - tilt
+    def local_gradients_at(problem: ProblemInstance, x):
+        lam_m, lc, _ = problem.params
+        s = per_agent(expit(-(lc @ x)), problem)
+        tilt = (s[:, None, :] @ per_agent(lc, problem))[:, 0]
+        return lam_m[problem.offsets] * x - tilt
 
     @staticmethod
-    def local_values_at(st: StackedParams, x):
-        lam_m, lc, _ = st.params
+    def local_values_at(problem: ProblemInstance, x):
+        lam_m, lc, _ = problem.params
         z = -(lc @ x)
         soft = np.maximum(z, 0.0) + np.log1p(np.exp(-np.abs(z)))
-        if st.split is None:
-            sums = soft.reshape(len(st.q), -1).sum(axis=1)
-        else:
-            sums = np.add.reduceat(soft, st.split)
-        return 0.5 * lam_m[st.offsets, 0] * float(x @ x) + sums
+        sums = per_agent(soft, problem).sum(axis=1)
+        return 0.5 * lam_m[problem.offsets, 0] * float(x @ x) + sums
 
 
 class DiskDistance(_Component):
@@ -218,20 +210,6 @@ class KMeansPoint(_Component):
         return KMeansPoint._distances(params, x)[1].min(axis=1)
 
 
-class StackedParams(NamedTuple):
-    """Component parameters stacked agent-major: agent i's components are
-    rows offsets[i] .. offsets[i] + q[i] - 1 of every parameter array, and
-    its component h (1-based) is row first[i] + h.  ``split`` is
-    ``offsets``, or None when every agent has the same q."""
-
-    grad: Callable              # the component class's stacked_gradient
-    params: list
-    offsets: np.ndarray
-    q: np.ndarray
-    first: np.ndarray           # offsets - 1
-    split: np.ndarray | None
-
-
 class LocalObjective:
     """Agent i's view of a problem's stacked rows: its component count q,
     the dimension, and its local average's value and full gradient at one
@@ -249,18 +227,20 @@ class LocalObjective:
 
     def value(self, x) -> float:
         p = self._problem
-        return float(p.kind.local_values_at(p.stacked, self._at(x))[self._i])
+        return float(p.kind.local_values_at(p, self._at(x))[self._i])
 
     def full_gradient(self, x):
         p = self._problem
-        return p.kind.local_gradients_at(p.stacked, self._at(x))[self._i]
+        return p.kind.local_gradients_at(p, self._at(x))[self._i]
 
 
 class ProblemInstance:
     """One problem shared by m agents: agent i holds q[i] components of the
     class ``kind``, whose parameter arrays ``params`` stack every agent's
-    rows in agent order, and ``stacked`` indexes them.  ``dim``, ``mu`` and
-    ``lip`` come from the arrays (``kind.constants``).
+    rows in agent order: agent i's are rows ``offsets[i]`` to
+    ``offsets[i] + q[i] - 1``, and its component h (1-based) is row
+    ``first[i] + h``.  ``dim``, ``mu`` and ``lip`` come from the arrays
+    (``kind.constants``).
 
     ``drawn_gradients`` and ``local_gradients`` evaluate one gradient per
     agent at the rows of a stacked m x n iterate; ``aggregate_value`` and
@@ -282,10 +262,8 @@ class ProblemInstance:
         self.kind, self.q, self.known_optimum = kind, q, known_optimum
         self.q_min, self.q_max = int(q.min()), int(q.max())
         self.dim, self.mu, self.lip = kind.constants(params, np.repeat(q, q))
-        offsets = np.cumsum(q) - q
-        self.stacked = StackedParams(
-            kind.stacked_gradient, params, offsets, q, offsets - 1,
-            None if (q == q[0]).all() else offsets)
+        self.params, self.offsets = params, np.cumsum(q) - q
+        self.first = self.offsets - 1
 
     @property
     def locals(self) -> list:
@@ -298,11 +276,11 @@ class ProblemInstance:
 
     def aggregate_value(self, x):
         """Value of the average objective (1/m) sum_i f_i at a single point."""
-        values = self.kind.local_values_at(self.stacked, x)
+        values = self.kind.local_values_at(self, x)
         return float(np.add.accumulate(values)[-1] / self.m)
 
     def aggregate_gradient(self, x):
-        rows = self.kind.local_gradients_at(self.stacked, x)
+        rows = self.kind.local_gradients_at(self, x)
         # a running sum adds the agents in order, for every n; add.reduce
         # sums pairwise when n == 1
         return np.add.accumulate(rows, axis=0)[-1] / self.m
@@ -310,15 +288,14 @@ class ProblemInstance:
     def drawn_gradients(self, x, idx):
         """Row i: gradient of agent i's component idx[i] (1-based, as
         ``GradientTables.draw`` gives it) at x[i]."""
-        st = self.stacked
-        rows = st.first + idx
-        return st.grad([p.take(rows, axis=0) for p in st.params], x)
+        rows = self.first + idx
+        return self.kind.stacked_gradient(
+            [p.take(rows, axis=0) for p in self.params], x)
 
     def local_gradients(self, x):
         """Row i: agent i's full local gradient at x[i]."""
-        grad, params, offsets, q, _, _ = self.stacked
-        g = grad(params, np.repeat(x, q, axis=0))
-        return np.add.reduceat(g, offsets, axis=0) / q[:, None]
+        g = self.kind.stacked_gradient(self.params, np.repeat(x, self.q, axis=0))
+        return np.add.reduceat(g, self.offsets, axis=0) / self.q[:, None]
 
 
 def quadratic_family(m: int, q_i: int, n: int, condition_range, seed: int) -> ProblemInstance:

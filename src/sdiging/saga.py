@@ -11,8 +11,10 @@ synchronous round updates every agent at once; a ``GradientTable`` is one
 agent's row of it, which is what a checkpoint holds.
 
 Agent i's component indices are, bit for bit, the draws of
-``Generator(Philox(key=(seed, agent_i))).integers(1, q_i + 1)``, so a run
-replays identically and a checkpoint restores by counting draws.
+``Generator(Philox(key=np.array([seed, agent_i], dtype=np.uint64)))
+.integers(1, q_i + 1)`` (a tuple key would go through float64 for a seed
+of 2**53 or more), so a run replays identically and a checkpoint restores
+by counting draws.
 ``IndexStreams`` produces them for all agents at once: Philox is
 counter-based, so an agent's block b is the 32 raw 64-bit words that one
 bare Philox, re-keyed to (seed, agent_i) at counter b*BLOCK/8, reads.  Each
@@ -226,15 +228,23 @@ def dump_table(t: GradientTable) -> str:
 
 def load_table(text: str, lo) -> GradientTables:
     """Restore a checkpoint of the local objective ``lo`` as one-agent
-    tables; the index stream is replayed to its counter."""
+    tables; the index stream is replayed to its counter.  Text that is not
+    a whole checkpoint of ``lo`` raises ``InvalidArgumentError``."""
     lines = text.splitlines()
     if not lines or lines[0] != _DUMP_HEADER:
         raise InvalidArgumentError("not a gradient-table checkpoint")
-    agent_id, q, dim, seed, draws = (int(v) for v in lines[1].split(","))
+    try:
+        agent_id, q, dim, seed, draws = (int(v) for v in lines[1].split(","))
+        rows = np.array([[float(v) for v in ln.split(",")] for ln in lines[2:]])
+    except (IndexError, ValueError) as exc:
+        raise InvalidArgumentError(f"malformed checkpoint: {exc}") from None
     if q != lo.q or dim != lo.dim:
         raise InvalidArgumentError("checkpoint does not match the local objective")
-    t = GradientTables(np.array([[[float(v) for v in lines[2 + h].split(",")]
-                                  for h in range(q)]]), [q], seed, [agent_id])
-    t.sums[0] = [float(v) for v in lines[2 + q].split(",")]
+    if rows.shape != (q + 1, dim) or draws < 0 or not 0 <= agent_id < 1 << 64:
+        raise InvalidArgumentError(
+            f"malformed checkpoint: needs {q + 1} rows of {dim} values, an "
+            f"agent id in 0..2**64-1 and a draw count >= 0")
+    t = GradientTables(rows[None, :q], [q], seed, [agent_id])
+    t.sums[0] = rows[q]
     t.streams.replay(draws)
     return t

@@ -291,7 +291,7 @@ def test_criterion_10_gradient_correctness():
     n_probes = 1000
     fails = []
 
-    quad = quadratic_family(1, 4, 3, (1.0, 3.0), seed=1).stacked.params
+    quad = quadratic_family(1, 4, 3, (1.0, 3.0), seed=1).params
     quad = [row(Quadratic, [p[k:k + 1] for p in quad]) for k in range(4)]
     for k in range(n_probes):
         if not check(quad[k % 4], rng.standard_normal(3), 1e-5):

@@ -408,6 +408,19 @@ def test_certify_alpha_beyond_bound(tmp_path, capsys):
     assert "step-size" in out
 
 
+@pytest.mark.parametrize("command", ["certify", "run"])
+def test_certificate_whose_lip_squared_overflows_is_invalid(
+        tmp_path, capsys, command):
+    # lip * lip overflows to inf past lip ~ 1.3e154: alpha_max is 0, so no
+    # step-size is certified, where lip ** 2 raised OverflowError (exit 1)
+    text = QUAD_CONFIG.replace("[problem]\n", "[problem]\nmu = 1\nlip = 1e200\n")
+    rc = cli.main([command, write(tmp_path, text, alpha="auto", rounds=10)])
+    captured = capsys.readouterr()
+    assert rc == cli.EXIT_CERTIFICATE, captured.err
+    assert "step-size outside the certified interval" in captured.out + captured.err
+    assert not (tmp_path / "t.csv").exists()
+
+
 def test_compare_single_algorithm(tmp_path, capsys):
     rc = cli.main(["compare", quad_config(tmp_path, rounds=3000),
                    "--algos", "diging", "--target", "-3"])

@@ -514,8 +514,8 @@ def test_batched_partial_trace_ends_at_divergence(rule):
 def component_gradient(prob, i, h, x):
     """Gradient of agent i's component h (0-based) at one point x, through
     the stacked oracle on that row alone."""
-    k = prob.stacked.offsets[i] + h
-    return prob.kind.stacked_gradient([p[k:k + 1] for p in prob.stacked.params],
+    k = prob.offsets[i] + h
+    return prob.kind.stacked_gradient([p[k:k + 1] for p in prob.params],
                                       x[None])[0]
 
 
@@ -565,7 +565,7 @@ def reference_run(rule, prob, w, alpha, rounds, seed):
 
 
 def uneven_quadratic():
-    params = quadratic_family(1, 12, 3, (1.0, 3.0), seed=4).stacked.params
+    params = quadratic_family(1, 12, 3, (1.0, 3.0), seed=4).params
     return ProblemInstance(Quadratic, params, [2, 5, 1, 4])
 
 

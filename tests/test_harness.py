@@ -25,7 +25,7 @@ def test_gaussian_logistic_shape_and_determinism():
     p1 = harness.gaussian_logistic_instance(m=6, q_i=10, n=4, seed=3)
     p2 = harness.gaussian_logistic_instance(m=6, q_i=10, n=4, seed=3)
     assert p1.m == 6 and p1.q_min == p1.q_max == 10 and p1.dim == 4
-    for a, b in zip(p1.stacked.params, p2.stacked.params):
+    for a, b in zip(p1.params, p2.params):
         assert np.array_equal(a, b)
 
 
@@ -49,7 +49,7 @@ def per_agent_logistic(m, q_i, n, seed, lam=harness.DEFAULT_LAMBDA):
 def test_gaussian_logistic_matches_per_agent_draws(m, q_i):
     prob = harness.gaussian_logistic_instance(m, q_i, n=4, seed=3)
     lc, lam_m, lip = per_agent_logistic(m, q_i, 4, 3)
-    got_lam_m, got_lc, got_qlc = prob.stacked.params
+    got_lam_m, got_lc, got_qlc = prob.params
     assert np.array_equal(got_lc, lc)
     assert np.array_equal(np.signbit(got_lc), np.signbit(lc))
     assert np.array_equal(got_qlc, q_i * lc)
@@ -94,13 +94,12 @@ def assert_same_logistic_instance(got, features, labels, lam, m):
     """Bit for bit: stacked parameters and their dtypes, constants, and the
     reference solution of the same rows given to the constructor."""
     params, lam_m, lip = row_built(features, labels, lam, m)
-    sg = got.stacked
-    for a, b in zip(sg.params, params):
+    for a, b in zip(got.params, params):
         assert a.dtype == b.dtype and a.shape == b.shape
         assert np.array_equal(a, b) and np.array_equal(np.signbit(a), np.signbit(b))
     q = len(labels) // m
-    assert sg.grad is LogisticSample.stacked_gradient and sg.split is None
-    assert np.array_equal(sg.offsets, q * np.arange(m))
+    assert got.kind is LogisticSample and got.q_min == got.q_max
+    assert np.array_equal(got.offsets, q * np.arange(m))
     for key, want in (("mu", lam_m), ("lip", lip), ("q_min", q), ("q_max", q),
                       ("m", m), ("dim", features.shape[1])):
         assert type(getattr(got, key)) is type(want), key
@@ -145,7 +144,7 @@ def test_gaussian_logistic_class_separation():
     # CLT check on the difference of class means; the generator separation
     # is [4, 4, -4, -4] with per-coordinate s.e. sqrt(2)*2/sqrt(N/2)
     prob = harness.gaussian_logistic_instance(m=20, q_i=40, n=4, seed=1)
-    _, lc, _ = prob.stacked.params
+    _, lc, _ = prob.params
     labels = np.tile(np.repeat([1, -1], 20), 20)
     plus, minus = lc[labels == 1], -lc[labels == -1]
     diff = np.mean(plus, axis=0) - np.mean(minus, axis=0)
@@ -157,7 +156,7 @@ def test_localization_geometry_noiseless():
     prob, source = harness.localization_instance(m=8, q_i=5, sigma=0.0, seed=2)
     assert np.array_equal(prob.known_optimum, source)
     at = np.broadcast_to(source, (40, 2))
-    assert np.abs(DiskDistance.stacked_value(prob.stacked.params, at)).max() < 1e-18
+    assert np.abs(DiskDistance.stacked_value(prob.params, at)).max() < 1e-18
     assert prob.aggregate_value(source) == pytest.approx(0.0, abs=1e-18)
 
 
@@ -169,7 +168,7 @@ def test_localization_rejects_sigma_below_zero(sigma):
 
 def test_localization_sensor_distance_floor():
     prob, source = harness.localization_instance(m=30, q_i=2, sigma=0.0, seed=4)
-    for r in prob.stacked.params[0]:
+    for r in prob.params[0]:
         assert np.linalg.norm(source - r) > 1.0
 
 
@@ -185,7 +184,7 @@ def test_localization_noisy_solution_near_source():
 
 def test_kmeans_partition_integrity():
     prob = harness.kmeans_instance(m=5, q_i=30, k=3, seed=6)
-    assert prob.q.sum() == 150 and len(prob.stacked.params[0]) == 150
+    assert prob.q.sum() == 150 and len(prob.params[0]) == 150
     assert prob.dim == 6
 
 
@@ -219,7 +218,7 @@ def quadratic_per_component(m, q_i, n, condition_range, seed):
 def test_quadratic_arrays_equal_per_component_build(m, q_i, n):
     prob = quadratic_family(m, q_i, n, (0.5, 4.0), seed=n)
     a, b, x_star = quadratic_per_component(m, q_i, n, (0.5, 4.0), n)
-    got_a, got_b = prob.stacked.params
+    got_a, got_b = prob.params
     assert np.array_equal(got_a, a) and np.array_equal(got_b, b)
     assert np.array_equal(prob.known_optimum, x_star)
     eig = [np.linalg.eigvalsh(ak) for ak in a]
@@ -260,7 +259,7 @@ def test_localization_arrays_equal_per_measurement_build(sigma, seed):
     want_sigma = 0.05 * 100.0 if sigma is None else sigma
     rows, radii, clamped = localization_per_measurement(10, 20, 100.0,
                                                         want_sigma, seed)
-    got_rows, got_radii = prob.stacked.params
+    got_rows, got_radii = prob.params
     assert np.array_equal(got_rows, rows) and np.array_equal(got_radii, radii)
     assert prob.clamped_measurements == clamped
     assert (clamped > 0) == (want_sigma > 0)
@@ -276,7 +275,7 @@ def test_kmeans_arrays_hold_the_permuted_points():
                       for j in range(3)])
     pts = means[rng.integers(0, 3, size=20)] + rng.normal(scale=0.25, size=(20, 2))
     pts = pts[rng.permutation(20)]
-    got_pts, got_k = prob.stacked.params
+    got_pts, got_k = prob.params
     assert np.array_equal(got_pts, pts) and (got_k == 3).all()
     assert (prob.kind, prob.dim, prob.mu, prob.lip) == (KMeansPoint, 6, 0.0, 2.0)
 
@@ -382,7 +381,7 @@ def test_reference_localization_noiseless():
 def test_reference_kmeans_centroid_and_recovery():
     # K=1: the optimum is the global centroid
     prob = harness.kmeans_instance(m=3, q_i=10, k=1, seed=11)
-    pts = prob.stacked.params[0]
+    pts = prob.params[0]
     ref = harness.reference_solution(prob, seed=0)
     assert not ref.certified
     assert np.linalg.norm(ref.x - pts.mean(axis=0)) < 1e-8
@@ -531,7 +530,7 @@ def test_field_size_below_two_is_rejected(tmp_path, field_size):
     cfg = harness.parse_config(write_config(tmp_path, text=text))
     prob, source = harness.localization_instance(m=20, q_i=2, field_size=2.0)
     assert cfg.field_size == 2.0 and prob.m == 20
-    assert np.all(np.linalg.norm(prob.stacked.params[0] - source, axis=1) > 1)
+    assert np.all(np.linalg.norm(prob.params[0] - source, axis=1) > 1)
 
 
 @pytest.mark.parametrize("sigma", ["-3", "-0.5", "nan"])

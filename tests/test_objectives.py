@@ -107,12 +107,11 @@ def sum_before_312(values):
 def component_loop(prob, x):
     """Aggregate gradient and value summed component by component, agent by
     agent, as the per-component objects summed them."""
-    st = prob.stacked
     grads, values = [], []
-    for start, q in zip(st.offsets.tolist(), st.q.tolist()):
+    for start, q in zip(prob.offsets.tolist(), prob.q.tolist()):
         g, v = np.zeros(prob.dim), []
         for k in range(start, start + q):
-            vk, gk = scalar_oracle(prob.kind, [p[k] for p in st.params], q, x)
+            vk, gk = scalar_oracle(prob.kind, [p[k] for p in prob.params], q, x)
             g += gk
             v.append(vk)
         grads.append(g / q)
@@ -126,14 +125,14 @@ def component_loop(prob, x):
 
 def test_scalar_quadratic_optimum():
     prob = quadratic_family(1, 1, 1, (1.0, 1.0), seed=5)
-    a, b = prob.stacked.params
+    a, b = prob.params
     assert a[0, 0, 0] == pytest.approx(1.0)
     assert prob.known_optimum[0] == pytest.approx(-b[0, 0])
 
 
 def test_quadratic_family_optimum_via_dense_solve():
     prob = quadratic_family(2, 2, 2, (1.0, 2.0), seed=3)
-    a, b = prob.stacked.params
+    a, b = prob.params
     x_direct = np.linalg.solve(a.sum(axis=0) / 4, -b.sum(axis=0) / 4)
     assert np.allclose(prob.known_optimum, x_direct, atol=1e-12)
     assert np.linalg.norm(prob.aggregate_gradient(prob.known_optimum)) < 1e-10
@@ -141,7 +140,7 @@ def test_quadratic_family_optimum_via_dense_solve():
 
 def test_quadratic_constants_bracket_spectrum():
     prob = quadratic_family(3, 4, 3, (0.5, 4.0), seed=1)
-    eig = np.array([np.linalg.eigvalsh(a) for a in prob.stacked.params[0]])
+    eig = np.array([np.linalg.eigvalsh(a) for a in prob.params[0]])
     assert prob.mu == pytest.approx(eig[:, 0].min(), rel=1e-12)
     assert prob.lip == pytest.approx(eig[:, -1].max(), rel=1e-12)
     assert 0.5 - 1e-9 <= eig.min() and eig.max() <= 4.0 + 1e-9
@@ -157,7 +156,7 @@ def test_quadratic_finite_difference():
     prob = quadratic_family(1, 3, 4, (1.0, 3.0), seed=9)
     pts = rng.standard_normal((20, 4))
     for k in range(3):
-        fd_check(Row(Quadratic, prob.stacked.params, k), pts, 1e-5)
+        fd_check(Row(Quadratic, prob.params, k), pts, 1e-5)
 
 
 # ---------------------------------------------------------------------------
@@ -217,7 +216,7 @@ def test_logistic_fields_match_product_formulas(label):
     sample = rows[::1000]
     prob = objectives.logistic_problem(sample, np.full(len(sample), label),
                                        lam=1.0, m=40)
-    lam_m, lc, _ = prob.stacked.params
+    lam_m, lc, _ = prob.params
     assert np.array_equal(lc, label * sample)
     assert np.array_equal(np.signbit(lc), np.signbit(label * sample))
     assert prob.lip == max(lam_m[0, 0] + 5 * float(c @ c) / 4.0 for c in sample)
@@ -231,7 +230,7 @@ def test_logistic_fields_match_product_formulas(label):
 def test_convexity_probes_quadratic_and_logistic():
     # (grad(a)-grad(b))'(a-b) >= mu ||a-b||^2 and the Lipschitz mirror
     rng = np.random.default_rng(7)
-    params = quadratic_family(2, 3, 3, (1.0, 2.5), seed=2).stacked.params
+    params = quadratic_family(2, 3, 3, (1.0, 2.5), seed=2).params
     funcs = [Row(Quadratic, params, k) for k in range(3)]
     funcs += [Row(LogisticSample, logistic_params(
         rng.standard_normal((1, 3)), [1], 2.0 / 3, 4), q=4)]
@@ -267,7 +266,7 @@ def test_disk_unit_circle_projection():
 
 def test_disk_clamps_nonpositive_measurement():
     prob, _ = harness.localization_instance(m=5, q_i=40, sigma=100.0, seed=0)
-    radius = prob.stacked.params[1]
+    radius = prob.params[1]
     assert prob.clamped_measurements > 0
     assert np.isfinite(radius).all() and (radius > 0).all()
     floor_radius = np.sqrt(100.0 / (objectives.MEASUREMENT_CLAMP_FRACTION * 100.0))
@@ -353,7 +352,7 @@ def test_full_local_gradient_singleton():
 def test_full_local_gradient_matrix_assembly():
     prob = quadratic_family(1, 5, 3, (1.0, 2.0), seed=8)
     lo = prob.locals[0]
-    a, b = prob.stacked.params
+    a, b = prob.params
     x = np.array([0.1, -0.2, 0.5])
     assert np.allclose(lo.full_gradient(x), a.mean(axis=0) @ x + b.mean(axis=0),
                        atol=1e-13)
@@ -372,12 +371,11 @@ def closure_loop(prob, x):
     """Aggregate gradient and value of a logistic problem, agent by agent,
     with the arithmetic of a per-agent vectorized oracle: lam_m*x minus
     sigmoid(-lc x) @ lc, and 0.5*lam_m*|x|^2 plus the sum of log(1+e^z)."""
-    st = prob.stacked
     g = np.zeros(prob.dim)
     values = []
-    for start, q in zip(st.offsets.tolist(), st.q.tolist()):
-        lc = st.params[1][start:start + q]
-        lam_m = float(st.params[0][start, 0])
+    for start, q in zip(prob.offsets.tolist(), prob.q.tolist()):
+        lc = prob.params[1][start:start + q]
+        lam_m = float(prob.params[0][start, 0])
         z = -(lc @ x)
         g += lam_m * x - expit(z) @ lc
         soft = np.maximum(z, 0.0) + np.log1p(np.exp(-np.abs(z)))
@@ -439,7 +437,7 @@ def test_aggregate_of_other_agents_sums_agent_by_agent():
         KMeansPoint, [pts, np.full(18, 3)], [5, 1, 9, 3]),
         lambda: rng.uniform(-4, 4, 6)))
     sizes = [3, 1, 6, 2]
-    params = quadratic_family(1, 12, 3, (0.5, 3.0), seed=9).stacked.params
+    params = quadratic_family(1, 12, 3, (0.5, 3.0), seed=9).params
     problems.append((objectives.ProblemInstance(Quadratic, params, sizes),
                      lambda: rng.standard_normal(3)))
     for prob, point in problems:
@@ -457,8 +455,8 @@ def test_aggregate_value_equals_the_python_sum_it_replaced(m, q):
     # the per-agent values as the stacked oracle forms them, summed as
     # sum(values.tolist()) / m used to sum them
     prob = harness.gaussian_logistic_instance(m, q, n=4, seed=3)
-    lam_m, lc, _ = prob.stacked.params
-    agent_lam = lam_m[prob.stacked.offsets, 0]
+    lam_m, lc, _ = prob.params
+    agent_lam = lam_m[prob.offsets, 0]
     rng = np.random.default_rng(q + m)
     for _ in range(100):
         x = rng.standard_normal(4) * 10.0 ** rng.uniform(-8, 1)
@@ -473,15 +471,14 @@ def test_aggregate_value_equals_the_python_sum_it_replaced(m, q):
 def constants_walked_row_by_row(prob):
     """mu and lip as min and max over the rows, each row's constants formed
     as its component object formed them."""
-    st = prob.stacked
-    q = np.repeat(st.q, st.q).tolist()
+    q = np.repeat(prob.q, prob.q).tolist()
     if prob.kind is Quadratic:
-        eig = [np.linalg.eigvalsh(a) for a in st.params[0]]
+        eig = [np.linalg.eigvalsh(a) for a in prob.params[0]]
         return min(float(e[0]) for e in eig), max(float(e[-1]) for e in eig)
     if prob.kind is LogisticSample:
-        lam_m = [float(v) for v in st.params[0][:, 0]]
+        lam_m = [float(v) for v in prob.params[0][:, 0]]
         return min(lam_m), max(lm + qk * float(c.dot(c)) / 4.0
-                               for lm, qk, c in zip(lam_m, q, st.params[1]))
+                               for lm, qk, c in zip(lam_m, q, prob.params[1]))
     return 0.0, 2.0
 
 
@@ -522,7 +519,7 @@ def test_aggregate_consistency():
 
 def test_problem_constants():
     prob = quadratic_family(3, 4, 2, (0.7, 3.0), seed=6)
-    eig = np.linalg.eigvalsh(prob.stacked.params[0])
+    eig = np.linalg.eigvalsh(prob.params[0])
     assert prob.mu == pytest.approx(eig[:, 0].min())
     assert prob.lip == pytest.approx(eig[:, -1].max())
     assert prob.q_min == prob.q_max == 4
@@ -571,7 +568,7 @@ def test_points_csv_loader(tmp_path):
 def stacked_cases():
     """(class, params, q per row, points) per family, edge cases included."""
     rng = np.random.default_rng(21)
-    quad = quadratic_family(1, 6, 3, (1.0, 3.0), seed=2).stacked.params
+    quad = quadratic_family(1, 6, 3, (1.0, 3.0), seed=2).params
     logi = logistic_params(rng.standard_normal((6, 3)),
                            rng.choice([-1, 1], size=6), 1.5 / 4, 6)
     disks = [rng.uniform(-2, 2, (6, 2)),
@@ -636,7 +633,7 @@ def test_disk_residual_equals_boolean_indexed_projection():
 
 
 def test_problem_oracle_matches_per_agent_loops():
-    params = quadratic_family(1, 9, 2, (1.0, 2.0), seed=3).stacked.params
+    params = quadratic_family(1, 9, 2, (1.0, 2.0), seed=3).params
     sizes = [3, 1, 5]                         # uneven q exercises the offsets
     prob = objectives.ProblemInstance(Quadratic, params, sizes)
     rng = np.random.default_rng(5)
@@ -646,6 +643,6 @@ def test_problem_oracle_matches_per_agent_loops():
     for h in ([0, 0, 0], [2, 0, 4], [1, 0, 3]):
         want = np.stack([scalar_oracle(Quadratic, [p[start + hi] for p in params],
                                        q, xi)[1]
-                         for start, q, hi, xi in zip(prob.stacked.offsets, sizes,
+                         for start, q, hi, xi in zip(prob.offsets, sizes,
                                                      h, x)])
         assert np.array_equal(prob.drawn_gradients(x, np.array(h) + 1), want)

@@ -57,7 +57,7 @@ def test_init_table_quadratic_at_zero():
     lo = quad_local(2, 3, seed=1)
     tables = table_at(lo, np.zeros(3), seed=0)
     t = tables[0]
-    b = lo.stacked.params[1]
+    b = lo.params[1]
     assert np.allclose(t.stored_grads[0], b[0], atol=1e-15)
     assert np.allclose(t.stored_grads[1], b[1], atol=1e-15)
     assert np.allclose(t.grad_sum, b[0] + b[1], atol=1e-14)
@@ -67,7 +67,7 @@ def test_init_table_quadratic_at_zero():
 def test_init_table_logistic_at_zero():
     lo = logistic_local(3, 2, seed=2)
     t = engine.make_tables(lo, seed=0)
-    expect = -(3 / 2.0) * lo.stacked.params[1].sum(axis=0)
+    expect = -(3 / 2.0) * lo.params[1].sum(axis=0)
     assert np.allclose(t[0].grad_sum, expect, atol=1e-13)
     t.check_sums()
 
@@ -121,7 +121,7 @@ def test_unbiasedness_across_uneven_stacked_agents():
     # every row of engine tables with uneven q (zero padding in the short
     # rows) averages to its agent's full local gradient
     rng = np.random.default_rng(16)
-    params = quadratic_family(1, 12, 3, (1.0, 3.0), seed=4).stacked.params
+    params = quadratic_family(1, 12, 3, (1.0, 3.0), seed=4).params
     prob = ProblemInstance(Quadratic, params, [2, 5, 1, 4])
     q = prob.q
     t = engine.make_tables(prob, seed=3)
@@ -216,6 +216,25 @@ def test_checkpoint_rejects_garbage():
     t = table_at(other, np.zeros(2), seed=0)
     with pytest.raises(InvalidArgumentError):
         saga.load_table(saga.dump_table(t[0]), lo)
+
+
+@pytest.mark.parametrize("edit", [
+    lambda ls: ls[:3],                                  # truncated
+    lambda ls: ls[:1] + ["0,2,2"] + ls[2:],             # 3 metadata fields
+    lambda ls: ls[:1] + ["0,2,2,x,0"] + ls[2:],         # non-integer field
+    lambda ls: ls[:2] + ["1.0,2.0,3.0"] + ls[3:],       # a row too wide
+    lambda ls: ls[:1] + ["0,2,2,7,-3"] + ls[2:],        # negative draw count
+    lambda ls: ls[:1] + ["-1,2,2,7,0"] + ls[2:],        # negative agent id
+    lambda ls: ls + ["1.0,2.0"],                        # a trailing line
+], ids=["truncated", "three-fields", "non-integer", "wide-row",
+        "negative-draws", "negative-agent", "trailing-line"])
+def test_checkpoint_rejects_malformed_text(edit):
+    lo = quad_local(2, 2, seed=16)
+    t = saga.GradientTables(np.ones((1, 2, 2)), [2], 7, [0])
+    lines = saga.dump_table(t[0]).splitlines()
+    assert lines[1] == "0,2,2,7,0"
+    with pytest.raises(InvalidArgumentError):
+        saga.load_table("\n".join(edit(lines)) + "\n", lo).draw()
 
 
 @pytest.mark.parametrize("q", [1, 2, 7, 30, 1000, 2 ** 20])
@@ -393,7 +412,7 @@ def test_streams_hold_no_object_per_agent():
 
 
 def test_uneven_q_with_single_component_rows():
-    params = quad_local(39, 2, seed=20).stacked.params
+    params = quad_local(39, 2, seed=20).params
     prob = ProblemInstance(Quadratic, params, [1, 7, 30, 1])
     locs = prob.locals
     n = 3 * saga.BLOCK
@@ -460,10 +479,9 @@ def test_update_matches_row_indexing_and_keeps_rows_attached(layout):
 def masked_tables(prob, seed):
     """Tables filled as a zero m x q_max x n array through a boolean mask,
     as ``engine.make_tables`` fills them for uneven q."""
-    st = prob.stacked
     grads = np.zeros((prob.m, prob.q_max, prob.dim))
-    grads[np.arange(prob.q_max) < prob.q[:, None]] = st.grad(
-        st.params, np.zeros((len(st.params[0]), prob.dim)))
+    grads[np.arange(prob.q_max) < prob.q[:, None]] = prob.kind.stacked_gradient(
+        prob.params, np.zeros((len(prob.params[0]), prob.dim)))
     return saga.GradientTables(grads, prob.q, seed, range(prob.m))
 
 
@@ -473,13 +491,13 @@ def test_make_tables_equals_the_masked_fill(family):
     prob = {
         "quadratic": lambda: quadratic_family(6, 4, 3, (1.0, 3.0), seed=1),
         "uneven": lambda: ProblemInstance(
-            Quadratic, quad_local(12, 3, seed=4).stacked.params, [2, 5, 1, 4]),
+            Quadratic, quad_local(12, 3, seed=4).params, [2, 5, 1, 4]),
         "logistic": lambda: harness.gaussian_logistic_instance(7, 6, n=4, seed=2),
         "localization": lambda: harness.localization_instance(
             m=6, q_i=5, sigma=5.0, seed=3)[0],
         "one-agent": lambda: logistic_local(9, 3, seed=5),
     }[family]()
-    assert (prob.stacked.split is None) == (family != "uneven")
+    assert (prob.q_min == prob.q_max) == (family != "uneven")
     got, want = engine.make_tables(prob, seed=5), masked_tables(prob, seed=5)
     assert np.array_equal(got.grads, want.grads)
     assert np.array_equal(got.sums, want.sums)

@@ -149,11 +149,14 @@ def export(rev: str, dest: Path) -> str:
     return sha
 
 
-def run_group(cmd: list, cwd: Path) -> subprocess.CompletedProcess:
+def run_group(cmd: list, cwd: Path, env: dict | None = None
+              ) -> subprocess.CompletedProcess:
     """``cmd`` run to its end in a session of its own, with one BLAS
-    thread; should this process be stopped meanwhile, the session's
-    process group, ``cmd`` and every process it started, is killed."""
-    proc = subprocess.Popen(cmd, cwd=cwd, env={**os.environ, **BLAS_ENV},
+    thread and the variables of ``env``; should this process be stopped
+    meanwhile, the session's process group, ``cmd`` and every process it
+    started, is killed."""
+    proc = subprocess.Popen(cmd, cwd=cwd,
+                            env={**os.environ, **BLAS_ENV, **(env or {})},
                             stdout=subprocess.PIPE, stderr=subprocess.PIPE,
                             text=True, start_new_session=True)
     try:
