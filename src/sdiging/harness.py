@@ -517,7 +517,7 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentResult:
                          iterations_to_accuracy(cert, kappa, cfg.epsilon))
     final_obj = problem.aggregate_value(final_state.x.mean(axis=0))
     extra.append(f"final.objective = {final_obj}")
-    extra.append(f"final.consensus_gap = {engine.consensus_gap(final_state.x)}")
+    extra.append(f"final.consensus_gap = {trace.consensus_gap[-1]}")
     _write_metadata(meta_path, cfg, w, alpha, cert, ref, problem, extra=extra)
     return ExperimentResult(trace_path=trace_path, meta_path=meta_path,
                             trace=trace, final_state=final_state,

@@ -266,11 +266,6 @@ class ProblemInstance:
         self.first = self.offsets - 1
 
     @property
-    def locals(self) -> list:
-        """One ``LocalObjective`` view per agent."""
-        return [LocalObjective(self, i) for i in range(self.m)]
-
-    @property
     def m(self) -> int:
         return len(self.q)
 

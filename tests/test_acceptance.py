@@ -16,6 +16,7 @@ from sdiging import engine, graph, harness, saga
 from sdiging.objectives import (
     DiskDistance,
     KMeansPoint,
+    LocalObjective,
     Quadratic,
     logistic_problem,
     quadratic_family,
@@ -86,7 +87,7 @@ def test_criterion_1_unbiasedness():
                 acc = np.zeros(3)
                 for idx in range(1, q + 1):
                     acc += estimate(copy.deepcopy(t), lo, x, idx)
-                ref = lo.locals[0].full_gradient(x)
+                ref = LocalObjective(lo, 0).full_gradient(x)
                 err = np.linalg.norm(acc / q - ref) / (1 + np.linalg.norm(ref))
                 worst = max(worst, err)
                 states += 1
@@ -298,9 +299,10 @@ def test_criterion_10_gradient_correctness():
             fails.append("quadratic")
 
     # logistic samples through their agent's local average
-    logi = [logistic_problem(rng.standard_normal((4, 3)),
-                             rng.choice([-1, 1], size=4), lam=1.0 / 3, m=1)
-            .locals[0] for _ in range(4)]
+    logi = [LocalObjective(logistic_problem(rng.standard_normal((4, 3)),
+                                            rng.choice([-1, 1], size=4),
+                                            lam=1.0 / 3, m=1), 0)
+            for _ in range(4)]
     logi = [SimpleNamespace(value=lo.value, gradient=lo.full_gradient)
             for lo in logi]
     for k in range(n_probes):

@@ -328,10 +328,10 @@ def test_logistic_commands_build_no_component_objects(
         tmp_path, monkeypatch, capsys, command):
     # every family, the logistic ones included: the commands read the
     # stacked arrays and never make the per-agent views
-    def views(self):
-        raise AssertionError("problem.locals read")
+    def view(self, problem, i):
+        raise AssertionError("LocalObjective built")
 
-    monkeypatch.setattr(objectives.ProblemInstance, "locals", property(views))
+    monkeypatch.setattr(objectives.LocalObjective, "__init__", view)
     csv = tmp_path / "data.csv"
     csv.write_text("1,0.5,-1.5\n-1,2.0,3.0\n1,1.0,0.5\n-1,-0.5,0.25\n")
     problems = {

@@ -11,6 +11,7 @@ from sdiging.errors import (
 )
 from sdiging.objectives import (
     DiskDistance,
+    LocalObjective,
     ProblemInstance,
     Quadratic,
     quadratic_family,
@@ -40,9 +41,10 @@ def test_single_agent_reduces_to_gradient_descent():
     x_plain = np.zeros(2)
     for _ in range(25):
         state = engine.step("diging", state, w, prob, alpha)
-        x_plain = x_plain - alpha * prob.locals[0].full_gradient(x_plain)
+        x_plain = x_plain - alpha * LocalObjective(prob, 0).full_gradient(x_plain)
         assert np.allclose(state.x[0], x_plain, atol=1e-12)
-        assert np.allclose(state.y[0], prob.locals[0].full_gradient(state.x[0]),
+        assert np.allclose(state.y[0],
+                           LocalObjective(prob, 0).full_gradient(state.x[0]),
                            atol=1e-12)
 
 
@@ -73,7 +75,8 @@ def test_first_primal_dual_iterate_matches_sdiging():
     sb = engine.step("primal_dual", sb, w, prob, 0.01, tables_b)
     assert np.allclose(sa.x, sb.x, atol=1e-14)
     assert np.allclose(sb.x, -0.01 * np.stack(
-        [lo.full_gradient(np.zeros(2)) for lo in prob.locals]), atol=1e-13)
+        [LocalObjective(prob, i).full_gradient(np.zeros(2))
+         for i in range(prob.m)]), atol=1e-13)
 
 
 def test_equivalence_over_100_rounds():

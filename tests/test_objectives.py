@@ -67,8 +67,8 @@ def logistic_params(features, labels, lam_m, q):
 def logistic(c, label, lam, m, q):
     """One sample's loss with the q and lam/m given, as its agent's local
     view: q copies of the sample average to the sample's own loss."""
-    return objectives.logistic_problem(
-        np.tile(c, (q, 1)), np.full(q, label), lam=lam / m, m=1).locals[0]
+    return objectives.LocalObjective(objectives.logistic_problem(
+        np.tile(c, (q, 1)), np.full(q, label), lam=lam / m, m=1), 0)
 
 
 def scalar_oracle(kind, row, q, x):
@@ -351,7 +351,7 @@ def test_full_local_gradient_singleton():
 
 def test_full_local_gradient_matrix_assembly():
     prob = quadratic_family(1, 5, 3, (1.0, 2.0), seed=8)
-    lo = prob.locals[0]
+    lo = objectives.LocalObjective(prob, 0)
     a, b = prob.params
     x = np.array([0.1, -0.2, 0.5])
     assert np.allclose(lo.full_gradient(x), a.mean(axis=0) @ x + b.mean(axis=0),
@@ -362,7 +362,8 @@ def test_full_local_gradient_logistic_at_zero():
     rng = np.random.default_rng(2)
     feats = rng.standard_normal((4, 3))
     labels = np.array([1, -1, 1, -1])
-    lo = objectives.logistic_problem(feats, labels, lam=2.0, m=1).locals[0]
+    lo = objectives.LocalObjective(
+        objectives.logistic_problem(feats, labels, lam=2.0, m=1), 0)
     expect = -np.sum(labels[:, None] * feats, axis=0) / 2.0
     assert np.allclose(lo.full_gradient(np.zeros(3)), expect, atol=1e-14)
 
@@ -446,7 +447,8 @@ def test_aggregate_of_other_agents_sums_agent_by_agent():
             g, v = component_loop(prob, x)
             assert np.array_equal(prob.aggregate_gradient(x), g)
             assert prob.aggregate_value(x) == v
-            values = [lo.value(x) for lo in prob.locals]
+            values = [objectives.LocalObjective(prob, i).value(x)
+                      for i in range(prob.m)]
             assert sum_before_312(values) / prob.m == v
 
 
@@ -504,16 +506,17 @@ def test_problem_constants_match_three_walks_on_every_family():
 def test_dimension_mismatch_rejected():
     prob = quadratic_family(1, 2, 3, (1.0, 2.0), seed=0)
     with pytest.raises(InvalidArgumentError):
-        prob.locals[0].full_gradient(np.zeros(4))
+        objectives.LocalObjective(prob, 0).full_gradient(np.zeros(4))
     with pytest.raises(InvalidArgumentError):
-        prob.locals[0].value(np.zeros(2))
+        objectives.LocalObjective(prob, 0).value(np.zeros(2))
 
 
 def test_aggregate_consistency():
     prob = quadratic_family(3, 2, 2, (1.0, 2.0), seed=4)
     rng = np.random.default_rng(1)
     x = rng.standard_normal(2)
-    g = sum(lo.full_gradient(x) for lo in prob.locals) / prob.m
+    g = sum(objectives.LocalObjective(prob, i).full_gradient(x)
+            for i in range(prob.m)) / prob.m
     assert np.allclose(prob.aggregate_gradient(x), g, atol=1e-14)
 
 
@@ -638,7 +641,8 @@ def test_problem_oracle_matches_per_agent_loops():
     prob = objectives.ProblemInstance(Quadratic, params, sizes)
     rng = np.random.default_rng(5)
     x = rng.standard_normal((3, 2))
-    want = np.stack([lo.full_gradient(xi) for lo, xi in zip(prob.locals, x)])
+    want = np.stack([objectives.LocalObjective(prob, i).full_gradient(xi)
+                     for i, xi in enumerate(x)])
     assert np.abs(prob.local_gradients(x) - want).max() <= 1e-12
     for h in ([0, 0, 0], [2, 0, 4], [1, 0, 3]):
         want = np.stack([scalar_oracle(Quadratic, [p[start + hi] for p in params],

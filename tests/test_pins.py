@@ -210,5 +210,5 @@ def test_stepped_state_and_tables_pinned(name, rule):
     want = {k: v for k, v in RUN_PINS[name, rule].items()
             if k not in TRACE_COLUMNS}
     assert state_digests(state) == want
-    assert text_digest("".join(dump_table(t) for t in tables)) \
+    assert text_digest("".join(dump_table(tables, i) for i in range(prob.m))) \
         == DUMP_PINS[name, rule]

@@ -5,7 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sdiging import graph, saga
-from sdiging.objectives import quadratic_family
+from sdiging.objectives import LocalObjective, quadratic_family
 
 
 @settings(max_examples=40, deadline=None)
@@ -46,6 +46,6 @@ def test_saga_unbiased_for_arbitrary_table_state(q, seed, n_scrambles):
     acc = np.zeros(2)
     for idx in range(1, q + 1):
         acc += estimate(copy.deepcopy(t), x, idx)
-    ref = prob.locals[0].full_gradient(x)
+    ref = LocalObjective(prob, 0).full_gradient(x)
     assert np.linalg.norm(acc / q - ref) <= 1e-12 * (1 + np.linalg.norm(ref))
     t.check_sums()

@@ -8,6 +8,7 @@ import pytest
 from sdiging import engine, graph, harness, saga
 from sdiging.errors import InvalidArgumentError
 from sdiging.objectives import (
+    LocalObjective,
     ProblemInstance,
     Quadratic,
     logistic_problem,
@@ -34,7 +35,7 @@ def component_gradient(prob, x, idx):
 
 
 def full_gradient(prob, x):
-    return prob.locals[0].full_gradient(x)
+    return LocalObjective(prob, 0).full_gradient(x)
 
 
 def table_at(prob, x0, seed, agent_id=0):
@@ -198,12 +199,12 @@ def test_checkpoint_round_trip():
     t = table_at(lo, np.zeros(3), seed=77, agent_id=2)
     for _ in range(30):
         estimate(t, lo, rng.standard_normal(3), draw(t))
-    text = saga.dump_table(t[0])
-    back = saga.load_table(text, lo)
-    assert saga.dump_table(back[0]) == text
+    text = saga.dump_table(t, 0)
+    back = saga.load_table(text, lo, 0)
+    assert saga.dump_table(back, 0) == text
     assert np.array_equal(back[0].stored_grads, t[0].stored_grads)
     assert np.array_equal(back[0].grad_sum, t[0].grad_sum)
-    assert back[0].draw_count == t[0].draw_count
+    assert back.streams.drawn == t.streams.drawn
     # restored stream continues exactly where the original left off
     assert [draw(back) for _ in range(20)] == [draw(t) for _ in range(20)]
 
@@ -211,11 +212,11 @@ def test_checkpoint_round_trip():
 def test_checkpoint_rejects_garbage():
     lo = quad_local(2, 2, seed=16)
     with pytest.raises(InvalidArgumentError):
-        saga.load_table("not-a-checkpoint\n", lo)
+        saga.load_table("not-a-checkpoint\n", lo, 0)
     other = quad_local(3, 2, seed=17)
     t = table_at(other, np.zeros(2), seed=0)
     with pytest.raises(InvalidArgumentError):
-        saga.load_table(saga.dump_table(t[0]), lo)
+        saga.load_table(saga.dump_table(t, 0), lo, 0)
 
 
 @pytest.mark.parametrize("edit", [
@@ -231,10 +232,10 @@ def test_checkpoint_rejects_garbage():
 def test_checkpoint_rejects_malformed_text(edit):
     lo = quad_local(2, 2, seed=16)
     t = saga.GradientTables(np.ones((1, 2, 2)), [2], 7, [0])
-    lines = saga.dump_table(t[0]).splitlines()
+    lines = saga.dump_table(t, 0).splitlines()
     assert lines[1] == "0,2,2,7,0"
     with pytest.raises(InvalidArgumentError):
-        saga.load_table("\n".join(edit(lines)) + "\n", lo).draw()
+        saga.load_table("\n".join(edit(lines)) + "\n", lo, 0).draw()
 
 
 @pytest.mark.parametrize("q", [1, 2, 7, 30, 1000, 2 ** 20])
@@ -265,10 +266,10 @@ def test_checkpoint_mid_block_of_engine_tables():
     rounds = saga.BLOCK + saga.BLOCK // 2 + 3      # not a multiple of BLOCK
     for _ in range(rounds):
         s = engine.step("sdiging", s, w, prob, 0.01, tables)
-    restored = [saga.load_table(saga.dump_table(t), lo)
-                for t, lo in zip(tables, prob.locals)]
+    restored = [saga.load_table(saga.dump_table(tables, i), prob, i)
+                for i in range(prob.m)]
     for t, back in zip(tables, restored):
-        assert back[0].draw_count == t.draw_count == rounds   # draws used
+        assert back.streams.drawn == tables.streams.drawn == rounds   # draws used
         assert np.array_equal(back[0].stored_grads, t.stored_grads)
         assert np.array_equal(back[0].grad_sum, t.grad_sum)
     ahead = np.stack([tables.draw() for _ in range(20)])
@@ -331,6 +332,27 @@ def test_replay_resumes_after_a_carried_half_word(q):
                 expect[draws:]
             carried += carries[draws] and draws % saga.BLOCK == 0
     assert carried > 0
+
+
+def test_replay_of_many_draws_refills_one_block(monkeypatch):
+    # a restore hands every stream to numpy at draw 0, which draws up to the
+    # count, instead of refilling the blocks before it one by one
+    qs, agents, seed = [2, 1, 30, 3 * 2 ** 30], [3, 8, 0, 5], 77
+    refills = []
+    next_block = saga.IndexStreams._next_block
+    monkeypatch.setattr(saga.IndexStreams, "_next_block",
+                        lambda self, b: refills.append(b) or next_block(self, b))
+    for draws in (2 ** 20 + 17, 2 ** 20):
+        streams = saga.IndexStreams(qs, seed, agents)
+        streams.replay(draws)
+        assert len(refills) <= 1 and streams.drawn == draws
+        got = np.stack([streams.draw() for _ in range(300)])
+        for col, (q, agent) in enumerate(zip(qs, agents)):
+            g = np.random.Generator(np.random.Philox(
+                key=np.array([seed, agent], dtype=np.uint64)))
+            g.integers(1, q + 1, size=draws)
+            assert got[:, col].tolist() == g.integers(1, q + 1, size=300).tolist()
+        refills.clear()
 
 
 def test_handed_over_row_beside_one_pass_rows():
@@ -414,21 +436,20 @@ def test_streams_hold_no_object_per_agent():
 def test_uneven_q_with_single_component_rows():
     params = quad_local(39, 2, seed=20).params
     prob = ProblemInstance(Quadratic, params, [1, 7, 30, 1])
-    locs = prob.locals
     n = 3 * saga.BLOCK
     tables = engine.make_tables(prob, seed=41)
     got = np.stack([tables.draw() for _ in range(n)])
-    for i, lo in enumerate(locs):
-        assert got[:, i].tolist() == generator_draws(41, i, lo.q, n)[0]
+    for i in range(prob.m):
+        assert got[:, i].tolist() == generator_draws(41, i, int(prob.q[i]), n)[0]
     # checkpoint the q=1 row and a q=7 row mid-block; both continue exactly
     tables = engine.make_tables(prob, seed=41)
     mid = saga.BLOCK + saga.BLOCK // 2 + 3
     for _ in range(mid):
         tables.draw()
-    restored = [saga.load_table(saga.dump_table(tables[i]), locs[i])
+    restored = [saga.load_table(saga.dump_table(tables, i), prob, i)
                 for i in (0, 1)]
     for i, back in zip((0, 1), restored):
-        assert saga.dump_table(back[0]) == saga.dump_table(tables[i])
+        assert saga.dump_table(back, 0) == saga.dump_table(tables, i)
         assert [draw(back) for _ in range(n - mid)] == got[mid:, i].tolist()
 
 
@@ -469,7 +490,7 @@ def test_update_matches_row_indexing_and_keeps_rows_attached(layout):
     assert np.array_equal(t.grads, ref) and np.array_equal(t.sums, ref_sums)
     for i, row in enumerate(rows):
         assert np.array_equal(row.stored_grads, ref[i, :q[i]])
-        assert saga.dump_table(row) == saga.dump_table(t[i])
+        assert np.array_equal(row.grad_sum, ref_sums[i])
     twin = copy.deepcopy(t)
     idx = twin.draw()
     twin.update(idx, rng.standard_normal((4, 2)))
@@ -501,7 +522,8 @@ def test_make_tables_equals_the_masked_fill(family):
     got, want = engine.make_tables(prob, seed=5), masked_tables(prob, seed=5)
     assert np.array_equal(got.grads, want.grads)
     assert np.array_equal(got.sums, want.sums)
-    assert [saga.dump_table(t) for t in got] == [saga.dump_table(t) for t in want]
+    assert [saga.dump_table(got, i) for i in range(prob.m)] == \
+        [saga.dump_table(want, i) for i in range(prob.m)]
 
 
 def test_equal_q_tables_skip_the_padded_copy():

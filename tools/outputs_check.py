@@ -18,7 +18,9 @@ and m1000_compare configs at seeds 0 and 1 (perfbench's workload configs;
 m1000 mixes through CSR, the others dense), ``certify`` on a valid, an
 invalid (alpha = 10), a refused (mu = 0) and an overflowing (lip = 1e200)
 config, ``run`` on a quadratic with n = 9, a k-means and a logistic_csv
-problem, a run that diverges, and a run whose reference solve fails
+problem, ``run`` with ``alpha = auto``, on noisy localization (clamped
+measurements), on a complete graph and on a ring of 200 agents (mixed
+through CSR), a run that diverges, and a run whose reference solve fails
 (gaussian_logistic, m = 3, q = 10, n = 4, problem seed 0: about 20 s per
 tree).  Every family is in one case or more.
 """
@@ -106,6 +108,17 @@ def cases() -> dict:
             {"exp.ini": config(alpha="0.01", rounds=200, problem=(
                 "family = logistic_csv\nlogistic_csv = data.csv\n")),
              "data.csv": LOGISTIC_CSV}, run),
+        "alpha_auto_run": ({"exp.ini": config()}, run),
+        # the default sigma = 0.05 * a clamps 9 measurements
+        "localization_noisy_run": (
+            {"exp.ini": config(alpha="0.01", rounds=200,
+                               problem="family = localization\nq = 5\n")}, run),
+        "complete_run": (
+            {"exp.ini": config(alpha="0.01", rounds=200)
+             .replace("kind = ring", "kind = complete")}, run),
+        "ring_m200_csr_run": (
+            {"exp.ini": config(alpha="0.01", rounds=200)
+             .replace("m = 4", "m = 200")}, run),
         # problem seed 0 at m = 3: the solver spends 10**6 calls, about 20 s
         "reference_failure": (
             {"exp.ini": config(alpha="0.02", rounds=100, problem=(
