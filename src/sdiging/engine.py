@@ -174,9 +174,9 @@ def certificate_for_problem(w: MixingMatrix, problem: ProblemInstance,
     Free parameters left open by the theory are pinned deterministically:
     phi, gamma, d and e are fixed below, eta sits 5% above its lower
     endpoint, c is the geometric mean of its interval endpoints, and alpha
-    (when not given) is half of alpha_max.  An empty interval or an
-    out-of-range alpha yields an invalid certificate with a reason, never
-    an exception; only mu <= 0 raises ``CertificationRefused``.
+    (when not given) is half of alpha_max.  An out-of-range alpha, or a c
+    outside its interval (empty, or c_lo * c_hi underflowing to 0), yields
+    an invalid certificate; only mu <= 0 raises ``CertificationRefused``.
     """
     mu, lip = problem.mu, problem.lip
     q_min, q_max = problem.q_min, problem.q_max
@@ -205,9 +205,9 @@ def certificate_for_problem(w: MixingMatrix, problem: ProblemInstance,
     c_lo = 4.0 * alpha * q_max * lip / eta
     c_hi = 2.0 * q_min * (gamma * alpha * (2.0 * mu - phi)
                           - alpha * (2.0 * lip - mu) * lip / eta) / lip
-    if not (c_lo < c_hi):
-        return invalid("empty interval for parameter c")
     c = math.sqrt(c_lo * c_hi)
+    if not (c_lo < c < c_hi):
+        return invalid("parameter c outside its interval")
 
     rho2_l2 = w.rho2_l ** 2
     eig = w.eig_w

@@ -314,8 +314,8 @@ def _positive_definite(a: np.ndarray, scale: float, shift: float) -> bool:
 
     A blocked Cholesky factorization, in place in the lower triangle: each
     diagonal block of at most _CHOLESKY_ROWS rows is factored, and its
-    Schur complement update is applied to the rows below it, through the
-    inverse of the block's factor, which is cheaper than a solve against it.
+    Schur complement update is applied to the rows below it (the last block
+    has none), through the inverse of its factor, cheaper than a solve.
     """
     m, k = len(a), _CHOLESKY_ROWS
     a *= scale
@@ -326,12 +326,11 @@ def _positive_definite(a: np.ndarray, scale: float, shift: float) -> bool:
             lead = np.linalg.cholesky(a[s:e, s:e])
         except np.linalg.LinAlgError:
             return False
-        if e >= m:
-            return True
-        x = np.linalg.inv(lead) @ a[e:, s:e].T      # L^-1 C
-        del lead
-        for r in range(e, m, k):                    # D -= C^T B^-1 C
-            a[r:r + k, e:r + k] -= x[:, r - e:r - e + k].T @ x[:, :r - e + k]
+        if e < m:
+            x = np.linalg.inv(lead) @ a[e:, s:e].T      # L^-1 C
+            d = a[e:, e:]                               # D, a view
+            for r in range(0, m - e, k):                # D -= C^T B^-1 C
+                d[r:r + k, :r + k] -= x[:, r:r + k].T @ x[:, :r + k]
     return True
 
 
@@ -348,9 +347,11 @@ def metropolis_weights(t: Topology, laziness: float = 0.1) -> MixingMatrix:
     recorded on the result.  The test is a Cholesky factorization, so no
     spectrum is computed here: ``MixingMatrix.eig_w`` computes it when read.
     Beyond _CHOLESKY_ROWS agents, a Lanczos bound rq >= lambda_min(W_raw)
-    first drops the levels that must fail, so that usually only the level
-    used is factored; since only the test accepts a level, the level used
-    is the ladder's.
+    drops the levels that must fail, so that usually only the level used is
+    factored.  The last level, 0.5 or more, needs no test: s_ii >= 1/(1 + d_i)
+    gives lambda_min(W_raw) >= 2/(1 + d_max) - 1 (Gershgorin), so its blend
+    has lambda_min >= 1/(1 + d_max) >= 1/m > 1e-9, and the screen keeps it,
+    as (1 - lz) * rq + lz >= 2 lz - 1 >= 0.
     """
     if not (0.0 <= laziness < 1.0):
         raise InvalidArgumentError(f"laziness must be in [0, 1), got {laziness}")
@@ -362,11 +363,10 @@ def metropolis_weights(t: Topology, laziness: float = 0.1) -> MixingMatrix:
         rq = _lanczos_bound(t)      # a blend negative at rq must fail
         candidates = [lz for lz in candidates
                       if (1.0 - lz) * rq + lz >= -_ZERO_EIG_RTOL]
-    for lz in candidates:
-        # the test overwrites its copy of W_raw
-        if _positive_definite(_metropolis_raw(t), 1.0 - lz, lz - _ZERO_EIG_RTOL):
-            w = _metropolis_raw(t)
-            w *= 1.0 - lz                   # blended in place, bit-identical
-            w[np.diag_indices(t.m)] += lz   # to lz * I + (1 - lz) * w_raw
-            return MixingMatrix.from_dense(w, lz, t)
-    raise ConstructionFailure("could not make the spectrum positive by laziness 0.5")
+    # the test overwrites its copy of W_raw; the last level needs none
+    lz = next((lz for lz in candidates[:-1] if _positive_definite(
+        _metropolis_raw(t), 1.0 - lz, lz - _ZERO_EIG_RTOL)), candidates[-1])
+    w = _metropolis_raw(t)
+    w *= 1.0 - lz                   # blended in place, bit-identical
+    w[np.diag_indices(t.m)] += lz   # to lz * I + (1 - lz) * w_raw
+    return MixingMatrix.from_dense(w, lz, t)

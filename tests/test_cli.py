@@ -408,17 +408,85 @@ def test_certify_alpha_beyond_bound(tmp_path, capsys):
     assert "step-size" in out
 
 
-@pytest.mark.parametrize("command", ["certify", "run"])
+OVERFLOW = ("mu = 1\nlip = 1e200\n", "auto",
+            "step-size outside the certified interval")
+SUBNORMAL = ("", "1e-320", "parameter c outside its interval")
+
+
+@pytest.mark.parametrize("command, problem, alpha, reason", [
+    pytest.param("certify", *OVERFLOW, id="certify"),
+    pytest.param("run", *OVERFLOW, id="run"),
+    pytest.param("certify", *SUBNORMAL, id="certify-subnormal-alpha"),
+    pytest.param("run", *SUBNORMAL, id="run-subnormal-alpha")])
 def test_certificate_whose_lip_squared_overflows_is_invalid(
-        tmp_path, capsys, command):
+        tmp_path, capsys, command, problem, alpha, reason):
     # lip * lip overflows to inf past lip ~ 1.3e154: alpha_max is 0, so no
-    # step-size is certified, where lip ** 2 raised OverflowError (exit 1)
-    text = QUAD_CONFIG.replace("[problem]\n", "[problem]\nmu = 1\nlip = 1e200\n")
-    rc = cli.main([command, write(tmp_path, text, alpha="auto", rounds=10)])
+    # step-size is certified, where lip ** 2 raised OverflowError (exit 1).
+    # A subnormal alpha underflows c = sqrt(c_lo * c_hi) to 0, below c_lo:
+    # no certificate, where the t3 term divided by 0 (exit 1); its run goes
+    # ahead, as every run at an explicit alpha does.
+    text = QUAD_CONFIG.replace("[problem]\n", "[problem]\n" + problem)
+    rc = cli.main([command, write(tmp_path, text, alpha=alpha, rounds=10)])
     captured = capsys.readouterr()
+    if command == "run" and alpha != "auto":
+        assert rc == cli.EXIT_OK, captured.err
+        meta = (tmp_path / "t.meta.txt").read_text()
+        assert "\ncertificate.valid = False\n" in meta
+        assert f"\ncertificate.reason = {reason}\n" in meta
+        return
     assert rc == cli.EXIT_CERTIFICATE, captured.err
-    assert "step-size outside the certified interval" in captured.out + captured.err
+    assert reason in captured.out + captured.err
     assert not (tmp_path / "t.csv").exists()
+
+
+def test_compare_with_no_algorithm_is_a_config_error(tmp_path, capsys,
+                                                     stages):
+    rc = cli.main(["compare", quad_config(tmp_path), "--algos", " , ",
+                   "--target", "-3"])
+    assert rc == cli.EXIT_CONFIG
+    assert capsys.readouterr().err == "config_error: no algorithms given\n"
+    assert stages == []
+
+
+def test_fault_in_the_program_exits_1(tmp_path, capsys, monkeypatch):
+    def fail(cfg):
+        raise RuntimeError("fault in the program")
+
+    monkeypatch.setattr(harness, "run_experiment", fail)
+    assert cli.main(["run", quad_config(tmp_path)]) == cli.EXIT_UNEXPECTED
+    assert capsys.readouterr().err == \
+        "unexpected_error: fault in the program\n"
+
+
+@pytest.mark.parametrize("old, new, error", [
+    ("[algorithm]\nname = sdiging\nalpha = {alpha}\nrounds = {rounds}\n"
+     "seed = 3\n", "", "missing section [algorithm]"),
+    ("family = quadratic", "family = cubic", "unknown problem family 'cubic'"),
+    ("name = sdiging", "name = sgd", "unknown algorithm 'sgd'"),
+    ("kind = ring", "kind = torus", "unknown topology kind 'torus'"),
+    ("m = 4", "m = abc",
+     "bad config value: invalid literal for int() with base 10: 'abc'")],
+    ids=["missing-section", "unknown-family", "unknown-algorithm",
+         "unknown-kind", "bad-int"])
+def test_config_names_and_values_are_checked_before_set_up(
+        tmp_path, capsys, stages, old, new, error):
+    assert old in QUAD_CONFIG
+    text = QUAD_CONFIG.replace(old, new)
+    rc = cli.main(["run", write(tmp_path, text, alpha="0.01", rounds=20)])
+    assert rc == cli.EXIT_CONFIG
+    assert capsys.readouterr().err == f"config_error: {error}\n"
+    assert stages == []
+
+
+def test_logistic_csv_that_does_not_divide_across_agents(tmp_path, capsys):
+    csv = tmp_path / "data.csv"
+    csv.write_text("".join(f"{(-1) ** k},{k / 4}\n" for k in range(9)))
+    text = QUAD_CONFIG.replace("family = quadratic\nq = 3\nn = 2\n",
+                               f"family = logistic_csv\nlogistic_csv = {csv}\n")
+    rc = cli.main(["run", write(tmp_path, text, alpha="0.01", rounds=10)])
+    assert rc == cli.EXIT_CONFIG
+    assert capsys.readouterr().err == \
+        "config_error: 9 samples do not divide across 4 agents\n"
 
 
 def test_compare_single_algorithm(tmp_path, capsys):

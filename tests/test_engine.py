@@ -132,6 +132,20 @@ def test_step_rejects_wrong_state():
         engine.step("primal_dual", tracking, w, prob, 0.01, tables)
 
 
+@pytest.mark.parametrize("wrong", ["mixing", "tables"])
+def test_step_rejects_state_tables_and_problem_that_disagree(wrong):
+    prob = quadratic_family(3, 2, 2, (1.0, 2.0), seed=4)
+    w, tables = mixing("ring", 3), engine.make_tables(prob, seed=0)
+    s = engine.init_state("sdiging", prob, tables)
+    if wrong == "mixing":
+        w = mixing("ring", 4)
+    else:
+        tables = engine.make_tables(quadratic_family(4, 2, 2, (1.0, 2.0),
+                                                     seed=4), seed=0)
+    with pytest.raises(InvalidArgumentError, match="dimensions disagree"):
+        engine.step("sdiging", s, w, prob, 0.01, tables)
+
+
 def test_step_rejects_unknown_rule():
     prob = quadratic_family(3, 2, 2, (1.0, 2.0), seed=4)
     w = mixing("ring", 3)
@@ -218,6 +232,39 @@ def test_certificate_invalid_for_oversized_alpha():
     assert not bad.valid
     assert "step-size" in bad.reason
     assert "valid = False" in bad.to_text()
+
+
+@pytest.mark.parametrize("alpha", [1.6e-162, 1e-300, 1e-320, 1e-323,
+                                   5e-324])
+def test_certificate_of_a_vanishing_alpha_is_invalid(alpha):
+    # c = sqrt(c_lo * c_hi) underflows to 0, below c_lo: near 1.6e-162 the
+    # t3 denominator stayed positive and c = 0 was certified, and from
+    # 1e-300 alpha ** 2 underflows too and t3 divided by 0; at the smallest
+    # subnormal c_hi rounds to 0 and the interval is empty
+    prob = quadratic_family(4, 3, 2, (1.0, 2.0), seed=1)
+    cert = engine.certificate_for_problem(mixing("ring", 4, seed=2), prob,
+                                          alpha=alpha)
+    assert (cert.valid, cert.reason, cert.alpha) == (
+        False, "parameter c outside its interval", alpha)
+
+
+def test_certificate_one_ulp_below_alpha_max_has_no_rate():
+    # t1 = (rho_min^2 - alpha (eta + lip^2 / phi)) / ... rounds to 0 there
+    prob = quadratic_family(4, 3, 2, (1.0, 2.0), seed=7)
+    w = mixing("ring", 4)
+    alpha_max = engine.certificate_for_problem(w, prob).alpha_max
+    cert = engine.certificate_for_problem(
+        w, prob, alpha=float(np.nextafter(alpha_max, 0.0)))
+    assert (cert.valid, cert.reason) == (False, "rate constant is not positive")
+    assert engine.certificate_for_problem(w, prob, alpha=alpha_max / 2).valid
+
+
+@pytest.mark.parametrize("epsilon", [0.0, -1e-6])
+def test_iterations_to_accuracy_needs_a_positive_epsilon(epsilon):
+    prob = quadratic_family(2, 1, 2, (1.0, 1.0), seed=7)
+    cert = engine.certificate_for_problem(mixing("complete", 2), prob)
+    with pytest.raises(InvalidArgumentError, match="epsilon must be positive"):
+        engine.iterations_to_accuracy(cert, kappa=1.0, epsilon=epsilon)
 
 
 def test_iterations_to_accuracy():
@@ -396,6 +443,10 @@ def test_trace_csv_shape():
 # batched diagnostics against one record at a time
 # ---------------------------------------------------------------------------
 
+# engine.DIVERGENCE_NORM, written out so that a changed guard is caught
+GUARD = 1e12
+
+
 def stepped_trace(rule, prob, w, alpha, rounds, seed, record_every, reference):
     """The columns of ``engine.run`` except wall_ms, stepped by hand with
     ``engine.step`` and each record evaluated on its own by the expressions
@@ -419,7 +470,7 @@ def stepped_trace(rule, prob, w, alpha, rounds, seed, record_every, reference):
     record(state.x, 0)
     for k in range(1, rounds + 1):
         state = engine.step(rule, state, w, prob, alpha, tables)
-        if not np.linalg.norm(state.x) <= engine.DIVERGENCE_NORM:
+        if not np.linalg.norm(state.x) <= GUARD:
             record(state.x, k)
             break
         if k % record_every == 0 or k == rounds:
@@ -508,6 +559,38 @@ def test_batched_partial_trace_ends_at_divergence(rule):
     assert records_per_batch(prob) < want["rounds"][-1] < 3000
     assert f"at round {want['rounds'][-1]}" in str(exc_info.value)
     assert_same_columns(trace, want)
+
+
+def test_batched_trace_whose_records_fill_the_last_batch():
+    # m x n = 160 floats per iterate: 2 * batch records, so the run's final
+    # evaluation finds nothing pending
+    prob = quadratic_family(40, 3, 4, (1.0, 2.0), seed=12)
+    w = mixing("random_gnp", 40, p=0.4, seed=9)
+    batch = records_per_batch(prob)
+    rounds = 2 * batch - 1
+    trace, _ = engine.run("sdiging", prob, w, 0.05, rounds, seed=11,
+                          record_every=1, reference=prob.known_optimum)
+    assert len(trace.rounds) == 2 * batch
+    assert_same_columns(trace, stepped_trace("sdiging", prob, w, 0.05, rounds,
+                                             11, 1, prob.known_optimum))
+
+
+@pytest.mark.parametrize("rule", engine.ALGORITHMS)
+def test_divergence_guard_fires_at_the_first_norm_past_1e12(rule):
+    # the norm grows about 13% a round, so it passes 1e12 rounds before it
+    # passes 1e13: a guard at another threshold fires at another round
+    prob = quadratic_family(40, 3, 4, (1.0, 2.0), seed=12)
+    w = mixing("random_gnp", 40, p=0.4, seed=9)
+    tables = None if rule == "diging" else engine.make_tables(prob, 11)
+    state, norms = engine.init_state(rule, prob, tables), [0.0]
+    while norms[-1] <= 1e12:
+        state = engine.step(rule, state, w, prob, 0.42, tables)
+        norms.append(float(np.linalg.norm(state.x)))
+    first = len(norms) - 1
+    assert norms[-1] < 1e13 and first > 100
+    with pytest.raises(DivergenceError,
+                       match=f"passed 1e\\+12 at round {first}$"):
+        engine.run(rule, prob, w, 0.42, 3000, seed=11, record_every=1)
 
 
 # ---------------------------------------------------------------------------

@@ -381,6 +381,70 @@ def test_laziness_is_chosen_with_one_factorization(monkeypatch, kind, m, p,
     assert len(calls) == 1
 
 
+def topology(m, pairs):
+    """The topology of the 0-based ``pairs`` on m agents."""
+    return graph.Topology(m=m, edge_array=graph._sorted_pairs(pairs))
+
+
+def star(m):
+    return topology(m, [(0, j) for j in range(1, m)])
+
+
+def complete_bipartite(d):
+    return topology(2 * d, [(i, d + j) for i in range(d) for j in range(d)])
+
+
+def half_blend_graphs():
+    """PARITY_GRAPHS, stars (d_max = m - 1), K(d, d) (lambda_min(W_raw) =
+    (1 - d)/(1 + d)) and 24 random G(m, p) at edge densities from sparse
+    to complete."""
+    for kind, m, p, seed in PARITY_GRAPHS:
+        yield graph.build_topology(kind, m, p=p, seed=seed)
+    yield from (star(m) for m in (2, 3, 10, 64, 65, 300))
+    yield from (complete_bipartite(d) for d in (1, 5, 6, 40))
+    rng = np.random.default_rng(32)
+    for _ in range(24):
+        m = int(rng.integers(2, 400))
+        p = min(1.0, rng.uniform(1.0, 5.0) * np.log(m) / m)
+        yield graph.build_topology("random_gnp", m, p=p,
+                                   seed=int(rng.integers(1 << 30)))
+
+
+def test_half_blend_passes_the_positivity_test():
+    # Why the ladder's last level is taken untested: s_ii >= 1/(1 + d_i),
+    # so by Gershgorin the 0.5 blend has lambda_min >= 1/(1 + d_max)
+    for t in half_blend_graphs():
+        bound = 1.0 / (1.0 + t.degrees().max())
+        assert graph._positive_definite(graph._metropolis_raw(t), 0.5,
+                                        0.5 - 1e-9), t.m
+        if t.m <= 300:
+            blend = 0.5 * np.eye(t.m) + 0.5 * reference_raw(t)[0]
+            assert np.linalg.eigvalsh(blend)[0] >= bound - 1e-12, t.m
+        if t.m > graph._CHOLESKY_ROWS:      # the screen keeps the level
+            assert 0.5 * graph._lanczos_bound(t) + 0.5 >= 0.0
+
+
+def test_ladder_takes_its_last_level_unfactored(monkeypatch):
+    # K(6, 6): lambda_min(W_raw) = -5/7, so every level below 0.5 fails
+    # its factorization, and 0.5 is taken without one
+    calls = []
+    positive_definite = graph._positive_definite
+    monkeypatch.setattr(graph, "_positive_definite",
+                        lambda a, scale, shift: calls.append(1.0 - scale)
+                        or positive_definite(a, scale, shift))
+    t = complete_bipartite(6)
+    w = graph.metropolis_weights(t, laziness=0.0)
+    assert w.laziness == 0.5 == reference_laziness(t, 0.0)
+    assert calls == pytest.approx([0.0, 0.1, 0.2, 0.3, 0.4])
+    assert w.rho_min == pytest.approx(1.0 / 7.0)
+
+
+@pytest.mark.parametrize("laziness", [-0.1, 1.0, float("nan")])
+def test_laziness_outside_the_unit_interval_is_rejected(laziness):
+    with pytest.raises(InvalidArgumentError, match="laziness must be in"):
+        graph.metropolis_weights(graph.build_topology("ring", 4), laziness)
+
+
 @pytest.mark.parametrize("kind, m, p, seed, laziness, lifted_to", [
     ("complete", 3, None, 0, 0.0, 0.1), ("ring", 10, None, 0, 0.25, 0.3),
     ("random_gnp", 5, 0.5, 6, 0.1, 0.3)])
@@ -498,6 +562,12 @@ def test_edge_list_rejects_bad_lines():
     with pytest.raises(InvalidArgumentError):
         # connected pair missing agent 3
         graph.Topology.from_edge_list_text("3\n1 2\n")
+
+
+@pytest.mark.parametrize("text", ["", "\n  \n"], ids=["empty", "blank"])
+def test_edge_list_of_no_lines_is_invalid_argument(text):
+    with pytest.raises(InvalidArgumentError, match="empty edge-list text"):
+        graph.Topology.from_edge_list_text(text)
 
 
 @pytest.mark.parametrize("m", [1, 0, -3])

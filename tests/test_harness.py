@@ -166,6 +166,12 @@ def test_localization_rejects_sigma_below_zero(sigma):
         harness.localization_instance(m=4, q_i=3, sigma=sigma, seed=0)
 
 
+@pytest.mark.parametrize("a", [0.0, -100.0])
+def test_localization_rejects_nonpositive_source_strength(a):
+    with pytest.raises(InvalidArgumentError, match="source strength"):
+        harness.localization_instance(m=4, q_i=3, a=a, seed=0)
+
+
 def test_localization_sensor_distance_floor():
     prob, source = harness.localization_instance(m=30, q_i=2, sigma=0.0, seed=4)
     for r in prob.params[0]:
@@ -469,6 +475,13 @@ def test_parse_config_family_key_mismatch(tmp_path):
                               "family = quadratic\nsigma = 0.5")
     with pytest.raises(ConfigError):
         harness.parse_config(write_config(tmp_path, text=bad))
+
+
+def test_build_problem_rejects_an_unknown_family():
+    # parse_config rejects it first; a config built in code reaches here
+    cfg = harness.ExperimentConfig(family="cubic", m=4, rounds=10)
+    with pytest.raises(ConfigError, match="unknown problem family 'cubic'"):
+        harness.build_problem(cfg)
 
 
 def test_parse_config_missing_file(tmp_path):

@@ -151,6 +151,12 @@ def test_quadratic_family_bad_range():
         quadratic_family(2, 2, 2, (2.0, 1.0), seed=0)
 
 
+@pytest.mark.parametrize("m, q_i, n", [(0, 2, 2), (2, 0, 2), (2, 2, 0)])
+def test_quadratic_family_needs_positive_sizes(m, q_i, n):
+    with pytest.raises(InvalidArgumentError, match="need m, q_i, n >= 1"):
+        quadratic_family(m, q_i, n, (1.0, 2.0), seed=0)
+
+
 def test_quadratic_finite_difference():
     rng = np.random.default_rng(0)
     prob = quadratic_family(1, 3, 4, (1.0, 3.0), seed=9)
@@ -562,6 +568,16 @@ def test_points_csv_loader(tmp_path):
     pts = objectives.load_points_csv(path)
     assert pts.shape == (2, 2)
     assert np.allclose(pts[1], [2.5, -3.5])
+
+
+@pytest.mark.parametrize("text, cols", [("0.5\n1.5\n", 1),
+                                        ("0,1,2\n3,4,5\n", 3)])
+def test_points_csv_needs_two_columns(tmp_path, text, cols):
+    path = tmp_path / "p.csv"
+    path.write_text(text)
+    with pytest.raises(InvalidArgumentError,
+                       match=f"expected 2 columns, got {cols}"):
+        objectives.load_points_csv(path)
 
 
 # ---------------------------------------------------------------------------

@@ -16,13 +16,14 @@ case is "same", 1 otherwise.
 The cases are ``run`` on va2_run's config, ``compare`` on the loc_compare
 and m1000_compare configs at seeds 0 and 1 (perfbench's workload configs;
 m1000 mixes through CSR, the others dense), ``certify`` on a valid, an
-invalid (alpha = 10), a refused (mu = 0) and an overflowing (lip = 1e200)
-config, ``run`` on a quadratic with n = 9, a k-means and a logistic_csv
-problem, ``run`` with ``alpha = auto``, on noisy localization (clamped
-measurements), on a complete graph and on a ring of 200 agents (mixed
-through CSR), a run that diverges, and a run whose reference solve fails
-(gaussian_logistic, m = 3, q = 10, n = 4, problem seed 0: about 20 s per
-tree).  Every family is in one case or more.
+invalid (alpha = 10), a refused (mu = 0), an overflowing (lip = 1e200)
+and a subnormal-alpha (alpha = 1e-320) config, ``run`` on a quadratic
+with n = 9, a k-means and a logistic_csv problem, ``run`` with ``alpha =
+auto``, on noisy localization (clamped measurements), on a complete graph
+and on a ring of 200 agents (mixed through CSR), a run that diverges, and
+a run whose reference solve fails (gaussian_logistic, m = 3, q = 10,
+n = 4, problem seed 0: about 20 s per tree).  Every family is in one case
+or more.
 """
 
 from __future__ import annotations
@@ -96,6 +97,8 @@ def cases() -> dict:
             certify),
         "certify_overflow": (
             {"exp.ini": config(extra="mu = 1\nlip = 1e200\n")}, certify),
+        "certify_subnormal_alpha": ({"exp.ini": config(alpha="1e-320")},
+                                    certify),
         "divergence": ({"exp.ini": config(alpha="50.0", rounds=100000)}, run),
         "quadratic_n9_run": (
             {"exp.ini": config(alpha="0.01", rounds=200,
