@@ -7,22 +7,4 @@ primal-dual iteration, and the linear-rate certification machinery that
 goes with them.
 """
 
-from sdiging.errors import (
-    CertificationRefused,
-    ConfigError,
-    ConstructionFailure,
-    DivergenceError,
-    InvalidArgumentError,
-    ReferenceFailure,
-)
-
-__all__ = [
-    "CertificationRefused",
-    "ConfigError",
-    "ConstructionFailure",
-    "DivergenceError",
-    "InvalidArgumentError",
-    "ReferenceFailure",
-]
-
 __version__ = "0.1.0"

@@ -41,6 +41,18 @@ EXIT_REFERENCE = 3
 EXIT_DIVERGENCE = 4
 EXIT_CERTIFICATE = 5
 
+# (exception type, stderr label, exit code), tried in order; a construction
+# failure is the configured graph's, not the program's
+FAILURES = (
+    (ConfigError, "config_error", EXIT_CONFIG),
+    (ReferenceFailure, "reference_failure", EXIT_REFERENCE),
+    (DivergenceError, "divergence", EXIT_DIVERGENCE),
+    (CertificationRefused, "certification_refused", EXIT_CERTIFICATE),
+    (InvalidArgumentError, "invalid_argument", EXIT_CONFIG),
+    (ConstructionFailure, "construction_failure", EXIT_CONFIG),
+    (Exception, "unexpected_error", EXIT_UNEXPECTED),
+)
+
 
 def cmd_run(cfg, args, say) -> int:
     result = harness.run_experiment(cfg)
@@ -115,27 +127,11 @@ def main(argv=None) -> int:
         if args.output_dir is not None:
             cfg.output_dir = args.output_dir
         return args.func(cfg, args, say)
-    except ConfigError as exc:
-        print(f"config_error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    except ReferenceFailure as exc:
-        print(f"reference_failure: {exc}", file=sys.stderr)
-        return EXIT_REFERENCE
-    except DivergenceError as exc:
-        print(f"divergence: {exc}", file=sys.stderr)
-        return EXIT_DIVERGENCE
-    except CertificationRefused as exc:
-        print(f"certification_refused: {exc}", file=sys.stderr)
-        return EXIT_CERTIFICATE
-    except InvalidArgumentError as exc:
-        print(f"invalid_argument: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    except ConstructionFailure as exc:   # the configured graph, not the program
-        print(f"construction_failure: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
     except Exception as exc:  # noqa: BLE001 - closed exit-code set
-        print(f"unexpected_error: {exc}", file=sys.stderr)
-        return EXIT_UNEXPECTED
+        label, code = next((label, code) for kind, label, code in FAILURES
+                           if isinstance(exc, kind))
+        print(f"{label}: {exc}", file=sys.stderr)
+        return code
 
 
 if __name__ == "__main__":

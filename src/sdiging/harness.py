@@ -90,7 +90,12 @@ def localization_instance(m: int = 50, q_i: int = 100, field_size: float = 100.0
         r = rng.uniform(0.0, field_size, size=2)
         if np.linalg.norm(source - r) > 1.0:
             sensors.append(r)
-    clean = [a / float(np.linalg.norm(source - r)) ** theta for r in sensors]
+    try:
+        clean = [a / float(np.linalg.norm(source - r)) ** theta for r in sensors]
+    except (OverflowError, ZeroDivisionError) as exc:    # d ** theta is inf or 0
+        raise InvalidArgumentError(
+            f"attenuation exponent theta = {theta:g} puts a sensor's signal "
+            f"out of float range") from exc
     meas = np.repeat(clean, q_i).reshape(m, q_i)
     if sigma > 0:       # every sensor's noise after the previous sensor's
         meas += rng.normal(scale=sigma, size=(m, q_i))
@@ -326,6 +331,8 @@ def parse_config(path) -> ExperimentConfig:
            if cp.has_option(sec, key)}
 
     family = raw.get("family")
+    if family is None:
+        raise ConfigError("missing key 'family' in [problem]")
     if family not in _FAMILY_KEYS:
         raise ConfigError(f"unknown problem family {family!r}")
     extra = set(cp["problem"]) - {"family"} - _FAMILY_KEYS[family]

@@ -169,9 +169,6 @@ class GradientTables:
     def __len__(self) -> int:
         return len(self.q)
 
-    def __getitem__(self, i: int) -> "GradientTable":
-        return GradientTable(self, i)
-
     def __iter__(self):
         return (GradientTable(self, i) for i in range(len(self)))
 

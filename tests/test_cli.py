@@ -461,13 +461,14 @@ def test_fault_in_the_program_exits_1(tmp_path, capsys, monkeypatch):
 @pytest.mark.parametrize("old, new, error", [
     ("[algorithm]\nname = sdiging\nalpha = {alpha}\nrounds = {rounds}\n"
      "seed = 3\n", "", "missing section [algorithm]"),
+    ("family = quadratic\n", "", "missing key 'family' in [problem]"),
     ("family = quadratic", "family = cubic", "unknown problem family 'cubic'"),
     ("name = sdiging", "name = sgd", "unknown algorithm 'sgd'"),
     ("kind = ring", "kind = torus", "unknown topology kind 'torus'"),
     ("m = 4", "m = abc",
      "bad config value: invalid literal for int() with base 10: 'abc'")],
-    ids=["missing-section", "unknown-family", "unknown-algorithm",
-         "unknown-kind", "bad-int"])
+    ids=["missing-section", "missing-family", "unknown-family",
+         "unknown-algorithm", "unknown-kind", "bad-int"])
 def test_config_names_and_values_are_checked_before_set_up(
         tmp_path, capsys, stages, old, new, error):
     assert old in QUAD_CONFIG
@@ -476,6 +477,21 @@ def test_config_names_and_values_are_checked_before_set_up(
     assert rc == cli.EXIT_CONFIG
     assert capsys.readouterr().err == f"config_error: {error}\n"
     assert stages == []
+
+
+@pytest.mark.parametrize("command", ["certify", "run"])
+@pytest.mark.parametrize("theta", ["400", "1e300", "-400", "-1e300"])
+def test_attenuation_exponent_out_of_float_range_is_invalid(
+        tmp_path, capsys, stages, command, theta):
+    # a sensor's d ** theta overflows, or underflows to 0 and is divided by
+    text = LOCALIZATION_CONFIG.replace("sigma = 0.0\n",
+                                       f"sigma = 0.0\ntheta = {theta}\n")
+    assert cli.main([command, write(tmp_path, text)]) == cli.EXIT_CONFIG
+    assert capsys.readouterr().err == (
+        f"invalid_argument: attenuation exponent theta = {float(theta):g} "
+        "puts a sensor's signal out of float range\n")
+    assert stages == [MIX, PROBLEM]
+    assert not any(tmp_path.glob("loc.*"))
 
 
 def test_logistic_csv_that_does_not_divide_across_agents(tmp_path, capsys):

@@ -218,6 +218,19 @@ def test_certificate_terms_rederived():
     assert 0.0 < cert.delta < cert.theta
 
 
+def test_certificate_tightens_as_sample_counts_spread():
+    # every component has spectrum {1, 10}, so mu and lip stay put and only
+    # q_max / q_min moves eta's first term (lip / q_min) * q_max * lip
+    w = mixing("ring", 4)
+    alpha_max = []
+    for q in ([2, 2, 2, 2], [1, 2, 2, 2], [1, 2, 2, 4], [1, 2, 2, 8]):
+        a = np.tile(np.diag([1.0, 10.0]), (sum(q), 1, 1))
+        prob = ProblemInstance(Quadratic, [a, np.ones((sum(q), 2))], q)
+        assert (prob.mu, prob.lip) == (1.0, 10.0)
+        alpha_max.append(engine.certificate_for_problem(w, prob).alpha_max)
+    assert all(a > b for a, b in zip(alpha_max, alpha_max[1:])), alpha_max
+
+
 def test_certificate_refuses_mu_zero():
     w = mixing("ring", 2)
     with pytest.raises(CertificationRefused):

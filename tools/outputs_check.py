@@ -20,10 +20,11 @@ invalid (alpha = 10), a refused (mu = 0), an overflowing (lip = 1e200)
 and a subnormal-alpha (alpha = 1e-320) config, ``run`` on a quadratic
 with n = 9, a k-means and a logistic_csv problem, ``run`` with ``alpha =
 auto``, on noisy localization (clamped measurements), on a complete graph
-and on a ring of 200 agents (mixed through CSR), a run that diverges, and
-a run whose reference solve fails (gaussian_logistic, m = 3, q = 10,
-n = 4, problem seed 0: about 20 s per tree).  Every family is in one case
-or more.
+and on a ring of 200 agents (mixed through CSR), a run that diverges,
+``certify`` on a config with no ``family``, ``run`` on localization with
+theta = 400 (d ** theta overflows), and a run whose reference solve
+fails (gaussian_logistic, m = 3, q = 10, n = 4, problem seed 0: about
+20 s per tree).  Every family is in one case or more.
 """
 
 from __future__ import annotations
@@ -122,6 +123,13 @@ def cases() -> dict:
         "ring_m200_csr_run": (
             {"exp.ini": config(alpha="0.01", rounds=200)
              .replace("m = 4", "m = 200")}, run),
+        "config_missing_family": (
+            {"exp.ini": config(problem="q = 3\nn = 2\n")}, certify),
+        # a sensor's d ** 400 overflows
+        "localization_theta_overflow": (
+            {"exp.ini": config(alpha="0.01", extra="theta = 400\n",
+                               problem="family = localization\nq = 3\n")},
+            run),
         # problem seed 0 at m = 3: the solver spends 10**6 calls, about 20 s
         "reference_failure": (
             {"exp.ini": config(alpha="0.02", rounds=100, problem=(
